@@ -259,58 +259,61 @@ Reader::Reader(std::span<const unsigned char> bytes, const char *magic,
 {
     requireInternal(magic != nullptr && std::strlen(magic) == 8,
                     "binfmt: magic must be exactly 8 characters");
-    requireConfig(bytes.size() >= kHeaderBytes,
-                  what_ + ": truncated (smaller than the header)");
-    requireConfig(std::memcmp(bytes.data(), magic, 8) == 0,
-                  what_ + ": bad magic (not a " + std::string(magic) +
-                      " file)");
+    // Every message below names the file, so it is built only when its
+    // check fails: a passing load allocates no error text.
+    if (bytes.size() < kHeaderBytes)
+        throw ConfigError(what_ + ": truncated (smaller than the header)");
+    if (std::memcmp(bytes.data(), magic, 8) != 0)
+        throw ConfigError(what_ + ": bad magic (not a " +
+                          std::string(magic) + " file)");
     schemaVersion_ = loadU32(bytes.data() + 8);
-    requireConfig(schemaVersion_ >= 1,
-                  what_ + ": schema version 0 is invalid");
-    requireConfig(schemaVersion_ <= max_version,
-                  what_ + ": schema version " +
-                      std::to_string(schemaVersion_) +
-                      " written by a newer youtiao (this build reads "
-                      "up to version " +
-                      std::to_string(max_version) + ")");
+    if (schemaVersion_ < 1)
+        throw ConfigError(what_ + ": schema version 0 is invalid");
+    if (schemaVersion_ > max_version)
+        throw ConfigError(what_ + ": schema version " +
+                          std::to_string(schemaVersion_) +
+                          " written by a newer youtiao (this build reads "
+                          "up to version " +
+                          std::to_string(max_version) + ")");
     const std::uint32_t section_count = loadU32(bytes.data() + 12);
-    requireConfig(section_count <= kMaxSections,
-                  what_ + ": implausible section count " +
-                      std::to_string(section_count));
+    if (section_count > kMaxSections)
+        throw ConfigError(what_ + ": implausible section count " +
+                          std::to_string(section_count));
     const std::uint64_t declared_size = loadU64(bytes.data() + 16);
-    requireConfig(declared_size == bytes.size(),
-                  what_ + ": declared size " +
-                      std::to_string(declared_size) +
-                      " does not match the real size " +
-                      std::to_string(bytes.size()) +
-                      " (truncated or corrupt)");
+    if (declared_size != bytes.size())
+        throw ConfigError(what_ + ": declared size " +
+                          std::to_string(declared_size) +
+                          " does not match the real size " +
+                          std::to_string(bytes.size()) +
+                          " (truncated or corrupt)");
     const std::uint32_t flags = loadU32(bytes.data() + 24);
-    requireConfig((flags & ~kFlagChecksum) == 0,
-                  what_ + ": unknown header flags " +
-                      std::to_string(flags) +
-                      " (written by a newer youtiao)");
+    if ((flags & ~kFlagChecksum) != 0)
+        throw ConfigError(what_ + ": unknown header flags " +
+                          std::to_string(flags) +
+                          " (written by a newer youtiao)");
     // Sections must fit before the trailer when one is present; verify
     // the checksum before trusting a single table entry.
     std::size_t payload_end = bytes.size();
     if ((flags & kFlagChecksum) != 0) {
-        requireConfig(bytes.size() >= kHeaderBytes + kTrailerBytes,
-                      what_ + ": too small for its checksum trailer");
+        if (bytes.size() < kHeaderBytes + kTrailerBytes)
+            throw ConfigError(what_ +
+                              ": too small for its checksum trailer");
         payload_end = bytes.size() - kTrailerBytes;
         const unsigned char *trailer = bytes.data() + payload_end;
-        requireConfig(std::memcmp(trailer, kTrailerMagic, 8) == 0,
-                      what_ + ": checksum trailer magic is garbled "
-                              "(truncated or corrupt)");
+        if (std::memcmp(trailer, kTrailerMagic, 8) != 0)
+            throw ConfigError(what_ + ": checksum trailer magic is garbled "
+                                      "(truncated or corrupt)");
         const std::uint64_t stored = loadU64(trailer + 8);
         const std::uint64_t actual = fnv1a(bytes.data(), payload_end);
-        requireConfig(stored == actual,
-                      what_ + ": checksum mismatch (file corrupt)");
+        if (stored != actual)
+            throw ConfigError(what_ + ": checksum mismatch (file corrupt)");
         checksummed_ = true;
     }
     const std::size_t table_end =
         kHeaderBytes +
         kSectionEntryBytes * static_cast<std::size_t>(section_count);
-    requireConfig(table_end <= payload_end,
-                  what_ + ": section table truncated");
+    if (table_end > payload_end)
+        throw ConfigError(what_ + ": section table truncated");
 
     sections_.reserve(section_count);
     for (std::uint32_t i = 0; i < section_count; ++i) {
@@ -323,34 +326,37 @@ Reader::Reader(std::span<const unsigned char> bytes, const char *magic,
         std::size_t len = 0;
         while (len < kSectionNameBytes && entry[len] != '\0')
             ++len;
-        for (std::size_t j = len; j < kSectionNameBytes; ++j)
-            requireConfig(entry[j] == '\0',
-                          what_ + ": garbled section name in entry " +
+        for (std::size_t j = len; j < kSectionNameBytes; ++j) {
+            if (entry[j] != '\0')
+                throw ConfigError(what_ +
+                                  ": garbled section name in entry " +
+                                  std::to_string(i));
+        }
+        if (len == 0)
+            throw ConfigError(what_ + ": empty section name in entry " +
                               std::to_string(i));
-        requireConfig(len > 0, what_ + ": empty section name in entry " +
-                                   std::to_string(i));
         section.name.assign(reinterpret_cast<const char *>(entry), len);
         section.elemSize = loadU32(entry + kSectionNameBytes);
         const std::uint64_t offset =
             loadU64(entry + kSectionNameBytes + 4);
         section.count = loadU64(entry + kSectionNameBytes + 12);
-        requireConfig(section.elemSize >= 1,
-                      what_ + ": section '" + section.name +
-                          "' has zero element size");
-        requireConfig(offset % kPayloadAlign == 0,
-                      what_ + ": section '" + section.name +
-                          "' payload is misaligned");
+        if (section.elemSize < 1)
+            throw ConfigError(what_ + ": section '" + section.name +
+                              "' has zero element size");
+        if (offset % kPayloadAlign != 0)
+            throw ConfigError(what_ + ": section '" + section.name +
+                              "' payload is misaligned");
         // Overflow-safe bounds: divide instead of multiplying the
         // attacker-controlled count by the element size.
-        requireConfig(offset <= payload_end &&
-                          section.count <= (payload_end - offset) /
-                                               section.elemSize,
-                      what_ + ": section '" + section.name +
-                          "' extends past the end of the file");
-        for (const Section &other : sections_)
-            requireConfig(other.name != section.name,
-                          what_ + ": duplicate section '" +
-                              section.name + "'");
+        if (offset > payload_end ||
+            section.count > (payload_end - offset) / section.elemSize)
+            throw ConfigError(what_ + ": section '" + section.name +
+                              "' extends past the end of the file");
+        for (const Section &other : sections_) {
+            if (other.name == section.name)
+                throw ConfigError(what_ + ": duplicate section '" +
+                                  section.name + "'");
+        }
         section.data = bytes.data() + offset;
         sections_.push_back(std::move(section));
     }
@@ -372,11 +378,11 @@ Reader::find(const std::string &name, std::uint32_t elem_size) const
     for (const Section &s : sections_) {
         if (s.name != name)
             continue;
-        requireConfig(elem_size == 0 || s.elemSize == elem_size,
-                      what_ + ": section '" + name +
-                          "' has element size " +
-                          std::to_string(s.elemSize) + ", expected " +
-                          std::to_string(elem_size));
+        if (elem_size != 0 && s.elemSize != elem_size)
+            throw ConfigError(what_ + ": section '" + name +
+                              "' has element size " +
+                              std::to_string(s.elemSize) + ", expected " +
+                              std::to_string(elem_size));
         return s;
     }
     throw ConfigError(what_ + ": missing section '" + name + "'");

@@ -9,9 +9,9 @@
 #ifndef YOUTIAO_COMMON_ERROR_HPP
 #define YOUTIAO_COMMON_ERROR_HPP
 
-#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace youtiao {
 
@@ -33,24 +33,42 @@ class InternalError : public std::logic_error
     {}
 };
 
-/**
- * Throw ConfigError unless @p cond holds. Streams @p msg so call sites can
- * build messages without allocating when the check passes is not attempted;
- * keep messages cheap.
- */
-inline void
-requireConfig(bool cond, const std::string &msg)
+namespace detail {
+
+[[noreturn, gnu::cold, gnu::noinline]] inline void
+throwConfigError(std::string_view msg)
 {
-    if (!cond)
-        throw ConfigError(msg);
+    throw ConfigError(std::string(msg));
 }
 
-/** Throw InternalError unless @p cond holds. */
-inline void
-requireInternal(bool cond, const std::string &msg)
+[[noreturn, gnu::cold, gnu::noinline]] inline void
+throwInternalError(std::string_view msg)
 {
-    if (!cond)
-        throw InternalError(msg);
+    throw InternalError(std::string(msg));
+}
+
+} // namespace detail
+
+/**
+ * Throw ConfigError unless @p cond holds. The message is copied into a
+ * std::string only when the check fails, so a passing check with a
+ * literal message never allocates (checks run inside the router's inner
+ * loop). A message built with `+` or std::to_string allocates before the
+ * call on every pass: write `if (!cond) throw ConfigError(...)` instead.
+ */
+inline void
+requireConfig(bool cond, std::string_view msg)
+{
+    if (!cond) [[unlikely]]
+        detail::throwConfigError(msg);
+}
+
+/** Throw InternalError unless @p cond holds (same allocation rule). */
+inline void
+requireInternal(bool cond, std::string_view msg)
+{
+    if (!cond) [[unlikely]]
+        detail::throwInternalError(msg);
 }
 
 } // namespace youtiao

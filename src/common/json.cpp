@@ -13,10 +13,11 @@ namespace youtiao::json {
 const Value &
 Value::field(const std::string &name) const
 {
-    requireConfig(kind == Kind::Object,
-                  "'" + name + "' looked up on a non-object value");
+    if (kind != Kind::Object)
+        throw ConfigError("'" + name + "' looked up on a non-object value");
     const auto it = object.find(name);
-    requireConfig(it != object.end(), "missing field '" + name + "'");
+    if (it == object.end())
+        throw ConfigError("missing field '" + name + "'");
     return it->second;
 }
 
@@ -32,28 +33,32 @@ Value::fieldIf(const std::string &name) const
 const std::string &
 Value::asString(const std::string &what) const
 {
-    requireConfig(kind == Kind::String, what + " is not a string");
+    if (kind != Kind::String)
+        throw ConfigError(what + " is not a string");
     return text;
 }
 
 double
 Value::asNumber(const std::string &what) const
 {
-    requireConfig(kind == Kind::Number, what + " is not a number");
+    if (kind != Kind::Number)
+        throw ConfigError(what + " is not a number");
     return number;
 }
 
 const std::map<std::string, Value> &
 Value::asObject(const std::string &what) const
 {
-    requireConfig(kind == Kind::Object, what + " is not an object");
+    if (kind != Kind::Object)
+        throw ConfigError(what + " is not an object");
     return object;
 }
 
 const std::vector<Value> &
 Value::asArray(const std::string &what) const
 {
-    requireConfig(kind == Kind::Array, what + " is not an array");
+    if (kind != Kind::Array)
+        throw ConfigError(what + " is not an array");
     return array;
 }
 
@@ -76,9 +81,10 @@ class Parser
     }
 
   private:
-    void require(bool cond, const std::string &msg)
+    void require(bool cond, std::string_view msg)
     {
-        requireConfig(cond, context_ + ": " + msg);
+        if (!cond)
+            throw ConfigError(context_ + ": " + std::string(msg));
     }
 
     void skipSpace()
@@ -97,8 +103,9 @@ class Parser
 
     void expect(char c)
     {
-        require(peek() == c, std::string("expected '") + c +
-                                 "' at offset " + std::to_string(at_));
+        if (peek() != c)
+            throw ConfigError(context_ + ": expected '" + c +
+                              "' at offset " + std::to_string(at_));
         ++at_;
     }
 

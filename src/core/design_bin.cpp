@@ -43,19 +43,17 @@ unflattenGroups(std::span<const std::uint64_t> offsets,
                 std::span<const std::uint64_t> members,
                 const std::string &what)
 {
-    requireConfig(!offsets.empty(),
-                  what + ": group offsets section is empty");
-    requireConfig(offsets.front() == 0 &&
-                      offsets.back() == members.size(),
-                  what + ": group offsets do not span the member "
-                         "array");
+    if (offsets.empty())
+        throw ConfigError(what + ": group offsets section is empty");
+    if (offsets.front() != 0 || offsets.back() != members.size())
+        throw ConfigError(what + ": group offsets do not span the member "
+                                 "array");
     std::vector<std::vector<std::size_t>> groups(offsets.size() - 1);
     for (std::size_t g = 0; g + 1 < offsets.size(); ++g) {
         // Both bounds checked per group: a garbled non-monotonic table
         // must never index outside the member array.
-        requireConfig(offsets[g] <= offsets[g + 1] &&
-                          offsets[g + 1] <= members.size(),
-                      what + ": group offsets are not monotonic");
+        if (offsets[g] > offsets[g + 1] || offsets[g + 1] > members.size())
+            throw ConfigError(what + ": group offsets are not monotonic");
         const std::size_t begin =
             static_cast<std::size_t>(offsets[g]);
         const std::size_t end =
@@ -94,9 +92,13 @@ SymmetricMatrix
 unpackTriangle(std::span<const double> packed, std::size_t n,
                const std::string &what)
 {
-    requireConfig(packed.size() == n * (n + 1) / 2,
-                  what + ": packed matrix size does not match the "
-                         "qubit count");
+    // A design without chip-wide crosstalk matrices (the stitched design
+    // of a synthesized hierarchical run) stores them empty.
+    if (packed.empty())
+        return SymmetricMatrix();
+    if (packed.size() != n * (n + 1) / 2)
+        throw ConfigError(what + ": packed matrix size does not match the "
+                                 "qubit count");
     SymmetricMatrix m(n);
     std::size_t k = 0;
     for (std::size_t i = 0; i < n; ++i)

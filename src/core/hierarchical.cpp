@@ -393,9 +393,12 @@ HierarchicalDesigner::designSynthesizedRobust(
     std::atomic<std::size_t> done{0};
     std::size_t total = 0;
     try {
-        return designTiles(chip,
-                           makeUniformTileMap(chip, hier_.tileSizeQubits),
-                           nullptr, w_phy, &done, &total);
+        HierarchicalDesign design = designTiles(
+            chip, makeUniformTileMap(chip, hier_.tileSizeQubits), nullptr,
+            w_phy, &done, &total);
+        // A budget spent in the last stage still ends the run.
+        cancel::poll("hier.done");
+        return design;
     } catch (const cancel::Cancelled &e) {
         if (partial != nullptr)
             partial->notes.push_back(
@@ -420,9 +423,11 @@ HierarchicalDesigner::designFromMeasurementsRobust(
         requireConfig(data.xyCrosstalk.size() == chip.qubitCount() &&
                           data.zzCrosstalkMHz.size() == chip.qubitCount(),
                       "characterization does not match the chip");
-        return designTiles(chip,
-                           makeUniformTileMap(chip, hier_.tileSizeQubits),
-                           &data, w_phy, &done, &total);
+        HierarchicalDesign design = designTiles(
+            chip, makeUniformTileMap(chip, hier_.tileSizeQubits), &data,
+            w_phy, &done, &total);
+        cancel::poll("hier.done");
+        return design;
     } catch (const cancel::Cancelled &e) {
         if (partial != nullptr)
             partial->notes.push_back(
@@ -617,6 +622,7 @@ HierarchicalDesigner::designTiles(const ChipTopology &chip, TileMap map,
     // Merged partition: tile regions concatenated in tile order.
     out.merged.partition.regionOfQubit.assign(q_count, 0);
     for (const HierarchicalTile &tile : out.tiles) {
+        cancel::poll("hier.merge");
         const ChipPartition &part = tile.design.partition;
         const std::size_t base = out.merged.partition.regions.size();
         for (const auto &region : part.regions) {
@@ -707,8 +713,16 @@ HierarchicalDesigner::stitchSeamsImpl(const ChipTopology &chip,
     // of the separating cut (|a.x - cut| + |b.x - cut| <= |a.x - b.x|),
     // so this band provably catches every pair the final audit scores.
     const double pair_radius = 2.0 * radius;
+    // Strided deadline polls: the stitch runs after the tile fan-out,
+    // where a budget spent by the tiles must still end the run.
+    std::size_t work = 0;
+    const auto poll = [&work] {
+        if ((++work & 0xFF) == 0)
+            cancel::poll("hier.seam_stitch");
+    };
     std::vector<std::size_t> near;
     for (std::size_t q = 0; q < chip.qubitCount(); ++q) {
+        poll();
         const Point &p = chip.qubit(q).position;
         bool close = false;
         for (double cut : x_cuts) {
@@ -748,6 +762,7 @@ HierarchicalDesigner::stitchSeamsImpl(const ChipTopology &chip,
     std::vector<std::pair<std::size_t, std::size_t>> cross_pairs;
     std::vector<std::vector<SeamNeighbor>> adjacency(chip.qubitCount());
     for (std::size_t a : near) {
+        poll();
         const Point &pa = chip.qubit(a).position;
         const auto cx =
             static_cast<std::int64_t>(std::floor(pa.x / pair_radius));
@@ -809,6 +824,7 @@ HierarchicalDesigner::stitchSeamsImpl(const ChipTopology &chip,
     for (std::size_t pass = 0; pass < hier_.maxSeamPasses; ++pass) {
         std::size_t retunes_this_pass = 0;
         for (const auto &[a, b] : cross_pairs) {
+            poll();
             double xt = 0.0;
             for (const SeamNeighbor &n : adjacency[a]) {
                 if (n.other == b) {
@@ -879,6 +895,7 @@ HierarchicalDesigner::stitchSeamsImpl(const ChipTopology &chip,
     // objective; anything still above epsilon is a recorded concession.
     double cross_cost = 0.0;
     for (const auto &[a, b] : cross_pairs) {
+        poll();
         double xt = 0.0;
         for (const SeamNeighbor &n : adjacency[a]) {
             if (n.other == b) {
@@ -950,16 +967,14 @@ routeHierarchical(const ChipTopology &chip,
             std::ceil((box.x + 2.0 * margin) / cell)) + 1;
         const auto h = static_cast<std::size_t>(
             std::ceil((box.y + 2.0 * margin) / cell)) + 1;
-        // One A* state per (cell, direction); g + parent + two stamps.
         const std::size_t bytes =
-            w * h * 4 * (sizeof(double) + 3 * sizeof(std::uint32_t));
+            SearchArena::bytesFor(w * h * SearchArena::kStatesPerCell);
         out.peakArenaBytes = std::max(out.peakArenaBytes, bytes);
-        requireConfig(
-            bytes <= config.maxArenaBytes,
-            "tile " + std::to_string(t) + " routing arena (" +
-                std::to_string(bytes) +
-                " bytes) exceeds the budget; use smaller tiles or "
-                "coarser routing cells");
+        if (bytes > config.maxArenaBytes)
+            throw ConfigError("tile " + std::to_string(t) +
+                              " routing arena (" + std::to_string(bytes) +
+                              " bytes) exceeds the budget; use smaller "
+                              "tiles or coarser routing cells");
     }
 
     struct TileRoute

@@ -65,14 +65,16 @@ class LineReader
                 break;
             }
         }
-        requireConfig(have_line,
-                      "unexpected end of design file while looking for '" +
-                          key + "'");
+        if (!have_line)
+            throw ConfigError(
+                "unexpected end of design file while looking for '" +
+                key + "'");
         std::istringstream stream(line);
         std::string found;
         stream >> found;
-        requireConfig(found == key, "expected key '" + key +
-                                        "', found '" + found + "'");
+        if (found != key)
+            throw ConfigError("expected key '" + key + "', found '" +
+                              found + "'");
         return stream;
     }
 
@@ -312,13 +314,18 @@ void
 validateDesign(const YoutiaoDesign &design)
 {
     const std::size_t qubits = design.xyPlan.lineOfQubit.size();
+    // The stitched design of a synthesized hierarchical run carries no
+    // chip-wide crosstalk matrices: empty is the one other valid size.
+    const auto matrix_fits = [qubits](const SymmetricMatrix &m) {
+        return m.size() == qubits || m.size() == 0;
+    };
     requireConfig(design.frequencyPlan.frequencyGHz.size() == qubits &&
                       design.frequencyPlan.zoneOfQubit.size() == qubits &&
                       design.frequencyPlan.cellOfQubit.size() == qubits &&
                       design.readout.feedlineOfQubit.size() == qubits &&
                       design.readout.resonatorGHz.size() == qubits &&
-                      design.predictedXy.size() == qubits &&
-                      design.predictedZzMHz.size() == qubits,
+                      matrix_fits(design.predictedXy) &&
+                      matrix_fits(design.predictedZzMHz),
                   "design sections disagree on qubit count");
     for (std::size_t l = 0; l < design.xyPlan.lines.size(); ++l) {
         for (std::size_t q : design.xyPlan.lines[l]) {

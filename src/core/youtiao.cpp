@@ -572,6 +572,9 @@ YoutiaoDesigner::finishDesignRobust(const ChipTopology &chip,
                    {"demux_fallbacks", degraded.demuxFallbackDevices},
                    {"cost_delta_usd", degraded.costDeltaUsd}});
     }
+    // Exit check of every robust entry point (they all end here): a
+    // budget spent in the last stage still ends the run.
+    cancel::poll("design.done");
     metrics::count("design.chips_designed");
     metrics::count("design.qubits_designed", chip.qubitCount());
     log::info("chip designed",

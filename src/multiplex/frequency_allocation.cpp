@@ -371,10 +371,10 @@ allocateFrequencies(const FdmPlan &plan,
                     have_cell = true;
                 }
             }
-            requireConfig(have_cell,
-                          "frequency allocation infeasible: every cell "
-                          "of zone " + std::to_string(zone) +
-                              " is masked");
+            if (!have_cell)
+                throw ConfigError("frequency allocation infeasible: every "
+                                  "cell of zone " + std::to_string(zone) +
+                                  " is masked");
             out.zoneOfQubit[q] = zone;
             out.cellOfQubit[q] = best_cell;
             out.frequencyGHz[q] = cellFrequency(zone, best_cell,

@@ -1,5 +1,6 @@
 #include "multiplex/plan_merge.hpp"
 
+#include "common/cancel.hpp"
 #include "common/error.hpp"
 
 namespace youtiao {
@@ -23,6 +24,7 @@ mergeFdmPlans(std::size_t qubit_count,
     merged.lineOfQubit.assign(qubit_count, 0);
     for (const TilePlanRefs &tile : tiles) {
         requireTile(tile);
+        cancel::poll("plan_merge");
         requireConfig(tile.xy != nullptr, "tile plan refs missing XY plan");
         const std::size_t base = merged.lines.size();
         for (const auto &line : tile.xy->lines) {
@@ -49,6 +51,7 @@ mergeFrequencyPlans(std::size_t qubit_count,
     merged.cellOfQubit.assign(qubit_count, 0);
     for (const TilePlanRefs &tile : tiles) {
         requireTile(tile);
+        cancel::poll("plan_merge");
         requireConfig(tile.frequency != nullptr,
                       "tile plan refs missing frequency plan");
         const FrequencyPlan &plan = *tile.frequency;
@@ -72,6 +75,7 @@ mergeTdmPlans(std::size_t qubit_count, std::size_t coupler_count,
     merged.groupOfDevice.assign(qubit_count + coupler_count, 0);
     for (const TilePlanRefs &tile : tiles) {
         requireTile(tile);
+        cancel::poll("plan_merge");
         requireConfig(tile.z != nullptr, "tile plan refs missing Z plan");
         const std::size_t base = merged.groups.size();
         const std::size_t local_qubits = tile.qubitMap->size();
@@ -104,6 +108,7 @@ mergeReadoutLines(std::size_t qubit_count,
     merged.lineOfQubit.assign(qubit_count, 0);
     for (const TilePlanRefs &tile : tiles) {
         requireTile(tile);
+        cancel::poll("plan_merge");
         requireConfig(tile.readoutLines != nullptr,
                       "tile plan refs missing readout lines");
         const std::size_t base = merged.lines.size();
@@ -130,6 +135,7 @@ mergeReadoutPlans(std::size_t qubit_count,
     merged.resonatorGHz.assign(qubit_count, 0.0);
     for (const TilePlanRefs &tile : tiles) {
         requireTile(tile);
+        cancel::poll("plan_merge");
         requireConfig(tile.readout != nullptr,
                       "tile plan refs missing readout plan");
         const ReadoutPlan &plan = *tile.readout;

@@ -27,7 +27,8 @@ heuristic(const Cell &a, const Cell &b, double weight)
     return weight * (dx + dy);
 }
 
-constexpr int kDirCount = 4;
+constexpr int kDirCount =
+    static_cast<int>(SearchArena::kStatesPerCell);
 constexpr long kMoves[kDirCount][2] = {{1, 0}, {-1, 0}, {0, 1}, {0, -1}};
 
 } // namespace
@@ -45,13 +46,16 @@ void
 requireAstarIndexable(std::size_t width, std::size_t height)
 {
     // Guard the multiplication itself: width * height may already wrap.
+    // The message is built only on failure: routeAstar runs this check
+    // on every call.
     const std::size_t limit = astarMaxCells();
-    requireConfig(width == 0 || height <= limit / width,
-                  "routing grid of " + std::to_string(width) + "x" +
-                      std::to_string(height) +
-                      " cells exceeds the A* 32-bit state index; shrink "
-                      "the grid, coarsen the cell pitch, or use the "
-                      "hierarchical tile router (64-bit corridor ids)");
+    if (width != 0 && height > limit / width)
+        throw ConfigError("routing grid of " + std::to_string(width) +
+                          "x" + std::to_string(height) +
+                          " cells exceeds the A* 32-bit state index; "
+                          "shrink the grid, coarsen the cell pitch, or use "
+                          "the hierarchical tile router (64-bit corridor "
+                          "ids)");
 }
 
 std::optional<RoutedPath>
@@ -103,6 +107,10 @@ routeAstar(RoutingGrid &grid, Cell from, Cell to, std::int32_t net_id,
 
     std::uint32_t goal_state = no_parent;
     std::size_t expanded = 0;
+    std::size_t dominated = 0;
+    const std::size_t to_idx = flat(to);
+    const auto wl = static_cast<long>(w);
+    const auto hl = static_cast<long>(h);
     while (!open.empty()) {
         const auto [f, state] = open.top();
         open.pop();
@@ -117,23 +125,35 @@ routeAstar(RoutingGrid &grid, Cell from, Cell to, std::int32_t net_id,
             cancel::poll("astar");
         const std::size_t idx = state / kDirCount;
         const int dir_in = static_cast<int>(state % kDirCount);
-        const Cell here{idx % w, idx / w};
-        if (here == to) {
+        if (idx == to_idx) {
             goal_state = state;
             break;
         }
-        const bool on_bridge = !mine_or_free(here);
+        const double g_here = arena.g(state);
+        const std::int32_t here_owner = grid.ownerAt(idx);
+        const bool on_bridge =
+            here_owner != RoutingGrid::kFree && here_owner != net_id;
+        // Off a bridge every direction state of a cell offers each
+        // neighbour the same step, so a sibling closed at g' <= g has
+        // already relaxed every neighbour state to at most g' + step <=
+        // g + step, and relaxation needs a strict improvement: this
+        // expansion could change nothing. Skipping it keeps the pop
+        // order, the parents and the path bit-identical.
+        if (!on_bridge && arena.closedSiblingNoWorse(state, g_here)) {
+            ++dominated;
+            continue;
+        }
+        const long hx = static_cast<long>(idx % w);
+        const long hy = static_cast<long>(idx / w);
         for (int d = 0; d < kDirCount; ++d) {
             if (on_bridge && d != dir_in)
                 continue; // bridges run straight
-            const long nx = static_cast<long>(here.x) + kMoves[d][0];
-            const long ny = static_cast<long>(here.y) + kMoves[d][1];
-            if (nx < 0 || ny < 0 || nx >= static_cast<long>(w) ||
-                ny >= static_cast<long>(h))
+            const long nx = hx + kMoves[d][0];
+            const long ny = hy + kMoves[d][1];
+            if (nx < 0 || ny < 0 || nx >= wl || ny >= hl)
                 continue;
-            const Cell next{static_cast<std::size_t>(nx),
-                            static_cast<std::size_t>(ny)};
-            const std::int32_t owner = grid.owner(next);
+            const std::size_t nidx = static_cast<std::size_t>(ny * wl + nx);
+            const std::int32_t owner = grid.ownerAt(nidx);
             if (owner == RoutingGrid::kObstacle)
                 continue;
             double step;
@@ -145,13 +165,10 @@ routeAstar(RoutingGrid &grid, Cell from, Cell to, std::int32_t net_id,
                 for (const auto &mv : kMoves) {
                     const long ax = nx + mv[0];
                     const long ay = ny + mv[1];
-                    if (ax < 0 || ay < 0 ||
-                        ax >= static_cast<long>(w) ||
-                        ay >= static_cast<long>(h))
+                    if (ax < 0 || ay < 0 || ax >= wl || ay >= hl)
                         continue;
-                    const Cell adj{static_cast<std::size_t>(ax),
-                                   static_cast<std::size_t>(ay)};
-                    if (grid.owner(adj) == RoutingGrid::kObstacle) {
+                    if (grid.ownerAt(static_cast<std::size_t>(
+                            ay * wl + ax)) == RoutingGrid::kObstacle) {
                         step += config.crowdingPenalty;
                         break;
                     }
@@ -160,10 +177,12 @@ routeAstar(RoutingGrid &grid, Cell from, Cell to, std::int32_t net_id,
                 step = config.bridgeCost; // airbridge crossover
             }
             const std::size_t nstate =
-                flat(next) * kDirCount + static_cast<std::size_t>(d);
-            const double cand = arena.g(state) + step;
+                nidx * kDirCount + static_cast<std::size_t>(d);
+            const double cand = g_here + step;
             if (!arena.closed(nstate) && cand < arena.g(nstate)) {
                 arena.relax(nstate, cand, state);
+                const Cell next{static_cast<std::size_t>(nx),
+                                static_cast<std::size_t>(ny)};
                 open.emplace(cand + heuristic(next, to,
                                               config.heuristicWeight),
                              static_cast<std::uint32_t>(nstate));
@@ -171,6 +190,7 @@ routeAstar(RoutingGrid &grid, Cell from, Cell to, std::int32_t net_id,
         }
     }
     metrics::count("astar.cells_expanded", expanded);
+    metrics::count("astar.dominated_skips", dominated);
     metrics::observe("astar.cells_expanded",
                      static_cast<double>(expanded));
     trace::counter("astar.cells_expanded",

@@ -96,6 +96,16 @@ class SearchArena
   public:
     static constexpr std::uint32_t kNoParent =
         std::numeric_limits<std::uint32_t>::max();
+    /** Search states per grid cell: one per incoming direction. */
+    static constexpr std::size_t kStatesPerCell = 4;
+
+    /** Bytes of working memory for @p states states: g, parent and the
+     *  two generation stamps. The hierarchical router budgets per-tile
+     *  arenas with this before any tile routes. */
+    static constexpr std::size_t bytesFor(std::size_t states)
+    {
+        return states * (sizeof(double) + 3 * sizeof(std::uint32_t));
+    }
 
     /** Invalidate all state for a new search over @p state_count states. */
     void begin(std::size_t state_count)
@@ -137,6 +147,22 @@ class SearchArena
     void close(std::size_t s) { closedStamp_[s] = generation_; }
 
     /**
+     * True when another direction state of @p s's cell is already
+     * closed with a cost no larger than @p g. Expanding @p s would then
+     * relax nothing (see routeAstar), so the search may skip it.
+     */
+    bool closedSiblingNoWorse(std::size_t s, double g) const
+    {
+        const std::size_t first = s - s % kStatesPerCell;
+        for (std::size_t k = first; k < first + kStatesPerCell; ++k) {
+            // A closed state was relaxed this search, so g_[k] is live.
+            if (k != s && closed(k) && g_[k] <= g)
+                return true;
+        }
+        return false;
+    }
+
+    /**
      * Predecessor of @p s; valid only for states relaxed this search
      * (path reconstruction walks exactly those).
      */
@@ -145,12 +171,8 @@ class SearchArena
     /** States the arena can hold without regrowing (diagnostic). */
     std::size_t capacity() const { return g_.size(); }
 
-    /** Bytes of working memory currently held (diagnostic; the
-     *  hierarchical router budgets per-tile arenas against this). */
-    std::size_t memoryBytes() const
-    {
-        return g_.size() * (sizeof(double) + 3 * sizeof(std::uint32_t));
-    }
+    /** Bytes of working memory currently held (diagnostic). */
+    std::size_t memoryBytes() const { return bytesFor(g_.size()); }
 
   private:
     std::vector<double> g_;

@@ -234,7 +234,9 @@ routeOnce(const ChipTopology &chip, const std::vector<NetSpec> &nets,
         const trace::TraceSpan net_span("routing.net", "routing");
         const auto net_start = std::chrono::steady_clock::now();
 
-        // Claim the perimeter slot nearest the net centroid.
+        // Claim the perimeter slot nearest the net centroid. The last
+        // slots of two edges can round to one grid cell at a corner: a
+        // slot whose cell another net already owns is not free.
         const Point c = centroid(net);
         double best = std::numeric_limits<double>::infinity();
         std::size_t best_slot = slots.size();
@@ -242,7 +244,7 @@ routeOnce(const ChipTopology &chip, const std::vector<NetSpec> &nets,
             if (slot_used[s])
                 continue;
             const double d = distance(slots[s], c);
-            if (d < best) {
+            if (d < best && grid.owner(grid.cellAt(slots[s])) < 0) {
                 best = d;
                 best_slot = s;
             }

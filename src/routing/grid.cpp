@@ -83,19 +83,6 @@ RoutingGrid::clearSquare(const Point &p, double half_mm)
     }
 }
 
-void
-RoutingGrid::blockSquareIfFree(const Point &p, double half_mm)
-{
-    const Cell lo = cellAt(Point{p.x - half_mm, p.y - half_mm});
-    const Cell hi = cellAt(Point{p.x + half_mm, p.y + half_mm});
-    for (std::size_t y = lo.y; y <= hi.y; ++y) {
-        for (std::size_t x = lo.x; x <= hi.x; ++x) {
-            if (owner_[y * width_ + x] == kFree)
-                owner_[y * width_ + x] = kObstacle;
-        }
-    }
-}
-
 std::size_t
 RoutingGrid::occupiedCellCount() const
 {

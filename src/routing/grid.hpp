@@ -71,6 +71,13 @@ class RoutingGrid
     /** Owner of a cell (kFree, kObstacle, or a net id >= 0). */
     std::int32_t owner(const Cell &c) const;
 
+    /**
+     * Owner of the cell at flat index y * width() + x, unchecked. For
+     * hot loops that bounds-check their own coordinates (the A* inner
+     * loop); everything else uses the checked owner().
+     */
+    std::int32_t ownerAt(std::size_t flat) const { return owner_[flat]; }
+
     /** Set the owner of a cell. */
     void setOwner(const Cell &c, std::int32_t owner);
 
@@ -79,10 +86,6 @@ class RoutingGrid
 
     /** Clear a square region back to free (to open pin access). */
     void clearSquare(const Point &p, double half_mm);
-
-    /** Re-block the free cells of a square (restore a keep-out after a
-     *  net routed through its own pin window). Net-owned cells stay. */
-    void blockSquareIfFree(const Point &p, double half_mm);
 
     /** Count of cells owned by nets (>= 0). */
     std::size_t occupiedCellCount() const;

@@ -20,6 +20,7 @@
 #include "common/binfmt.hpp"
 #include "common/error.hpp"
 #include "core/design_bin.hpp"
+#include "core/hierarchical.hpp"
 #include "core/serialization.hpp"
 #include "core/youtiao.hpp"
 
@@ -323,6 +324,39 @@ TEST(DesignBinary, RejectsHostileImages)
             // expected for structural bytes
         }
     }
+}
+
+TEST(DesignBinary, StitchedHierarchicalDesignRoundTripsByteIdentical)
+{
+    // A synthesized hierarchical run has no chip-wide crosstalk
+    // matrices, so its stitched design stores them empty. The loader
+    // used to reject the file it had itself written.
+    const ChipTopology chip = makeSquareGrid(8, 8);
+    HierarchicalConfig hier;
+    hier.tileSizeQubits = 16;
+    const HierarchicalDesign design =
+        HierarchicalDesigner({}, hier).designSynthesized(chip);
+    ASSERT_GT(design.tiles.size(), 1u);
+    ASSERT_EQ(design.merged.predictedXy.size(), 0u);
+
+    const std::vector<unsigned char> image = designToBinary(design.merged);
+    const YoutiaoDesign loaded =
+        designFromBinary(image.data(), image.size());
+    EXPECT_EQ(loaded.predictedXy.size(), 0u);
+    EXPECT_EQ(loaded.predictedZzMHz.size(), 0u);
+    EXPECT_EQ(designToBinary(loaded), image);
+}
+
+TEST(DesignBinary, RejectsCrosstalkMatrixOfTheWrongSize)
+{
+    // Empty is the one other valid size: a matrix that is present must
+    // still match the qubit count.
+    const ChipTopology chip = sampleChip();
+    YoutiaoDesign design = sampleDesign(chip);
+    design.predictedXy = SymmetricMatrix(chip.qubitCount() - 1);
+    const std::vector<unsigned char> image = designToBinary(design);
+    EXPECT_THROW((void)designFromBinary(image.data(), image.size()),
+                 ConfigError);
 }
 
 TEST(BinFmt, ChecksumTrailerRoundTrips)

@@ -24,7 +24,10 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/** Fresh scratch directory per test; the session is always closed. */
+/** Fresh scratch directory per test; the session is always closed. The
+ *  directory is named after the test: ctest runs each test in its own
+ *  process, in parallel, and a shared directory let one test's TearDown
+ *  delete another's journal mid-run. */
 struct CheckpointTest : ::testing::Test
 {
     std::string dir;
@@ -32,7 +35,8 @@ struct CheckpointTest : ::testing::Test
     void
     SetUp() override
     {
-        dir = "test_checkpoint_tmp";
+        dir = std::string("test_checkpoint_tmp_") +
+              ::testing::UnitTest::GetInstance()->current_test_info()->name();
         std::error_code ec;
         fs::remove_all(dir, ec);
         checkpoint::close();

@@ -1,10 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <cstdint>
 #include <limits>
+#include <ostream>
+#include <string>
 
 #include "chip/topology_builder.hpp"
 #include "common/error.hpp"
+#include "common/metrics.hpp"
+#include "common/prng.hpp"
 #include "core/baselines.hpp"
+#include "core/hierarchical.hpp"
 #include "core/youtiao.hpp"
 #include "routing/astar_router.hpp"
 #include "routing/chip_router.hpp"
@@ -123,6 +130,28 @@ TEST(AstarRouter, SharedArenaMatchesFreshBuffersExactly)
             ASSERT_EQ(fresh_grid.owner(c), arena_grid.owner(c))
                 << "cell (" << x << ", " << y << ")";
         }
+}
+
+TEST(AstarRouter, DominatedDirectionStatesAreSkipped)
+{
+    // The start cell is seeded in all four directions at g = 0. The
+    // first seed to close expands every neighbour; the other three are
+    // dominated and must close without expanding, yet still count as
+    // closed states.
+    RoutingGrid grid(Point{0, 0}, Point{2, 2});
+    const Cell a = grid.cellAt(Point{0.5, 1.0});
+    const Cell b = grid.cellAt(Point{1.5, 1.0});
+    const auto counter = [](const char *name) {
+        const auto counters = metrics::Registry::global().counters();
+        const auto it = counters.find(name);
+        return it == counters.end() ? std::uint64_t{0} : it->second;
+    };
+    const std::uint64_t skips = counter("astar.dominated_skips");
+    const std::uint64_t closed = counter("astar.cells_expanded");
+    ASSERT_TRUE(routeAstar(grid, a, b, 0).has_value());
+    EXPECT_GE(counter("astar.dominated_skips") - skips, 3u);
+    EXPECT_GT(counter("astar.cells_expanded") - closed,
+              counter("astar.dominated_skips") - skips);
 }
 
 TEST(AstarRouter, RoutesAroundObstacle)
@@ -376,6 +405,40 @@ TEST(ChipRouterExtra, PinPortsAvoidNeighbourPads)
     }
 }
 
+TEST(ChipRouterExtra, InterfaceNeverClaimsAnotherNetsCell)
+{
+    // Smallest input found that shows it: at the tile router's pitch the
+    // last top-edge slot and the last right-edge slot of this box round
+    // to one grid cell. Net 6 claimed that cell after net 5 had, and
+    // overwrote net 5's interface: net 5 ended up fragmented while the
+    // router reported every connection made. (Found on a 48x48 grid,
+    // where net 109 of a tile overwrote a cell of net 104.)
+    ChipTopology chip("corner slots");
+    chip.addQubit(QubitInfo{});
+    const std::vector<Point> pins = {{1.52, 1.02}, {1.47, 0.97},
+                                     {0.93, 0.81}, {1.31, 0.73},
+                                     {1.18, 0.92}, {1.11, 0.92},
+                                     {1.06, 0.88}};
+    std::vector<NetSpec> nets;
+    for (const Point &pin : pins)
+        nets.push_back(NetSpec{{pin}});
+    const ChipRoutingConfig config = tunedTileRoutingConfig();
+    const ChipRoutingResult result = routeChip(chip, nets, config);
+    ASSERT_TRUE(result.grid.has_value());
+    const DrcReport report =
+        checkRoutingDrc(*result.grid, nets.size(), result.crossovers);
+    EXPECT_TRUE(report.clean) << (report.violations.empty()
+                                      ? ""
+                                      : report.violations.front());
+    EXPECT_EQ(result.failedConnections, 0u);
+    ASSERT_EQ(result.interfaces.size(), nets.size());
+    for (std::size_t n = 0; n < nets.size(); ++n) {
+        const Cell iface = result.grid->cellAt(result.interfaces[n]);
+        EXPECT_EQ(result.grid->owner(iface), static_cast<std::int32_t>(n))
+            << "interface of net " << n << " belongs to another net";
+    }
+}
+
 TEST(ChipRouterExtra, RoutingAreaEqualsLengthTimesPitch)
 {
     const ChipTopology chip = makeSquare();
@@ -386,6 +449,140 @@ TEST(ChipRouterExtra, RoutingAreaEqualsLengthTimesPitch)
     const ChipRoutingResult result = routeChip(chip, nets, config);
     EXPECT_NEAR(result.routingAreaMm2,
                 result.totalLengthMm * config.grid.cellMm, 1e-9);
+}
+
+} // namespace
+} // namespace youtiao
+
+// -- routing exactness golden ---------------------------------------------
+//
+// Recorded before the A* hot path was reworked (unchecked grid reads,
+// skipped dominated direction states). Every figure is exact: a change
+// meant to be a pure speedup must reproduce the same routes, the same
+// number of closed search states and the same final owner grid. A change
+// that alters routes on purpose regenerates these numbers and says so.
+
+namespace youtiao {
+namespace {
+
+struct RoutingGolden
+{
+    double totalLengthMm;
+    std::size_t crossovers;
+    std::uint64_t cellsExpanded;
+    std::uint64_t gridHash;
+};
+
+/** FNV-1a over every cell owner (row-major, 4 little-endian bytes). */
+std::uint64_t
+ownerGridHash(const RoutingGrid &grid)
+{
+    std::uint64_t hash = 14695981039346656037ull;
+    for (std::size_t y = 0; y < grid.height(); ++y) {
+        for (std::size_t x = 0; x < grid.width(); ++x) {
+            const auto owner =
+                static_cast<std::uint32_t>(grid.owner(Cell{x, y}));
+            for (int b = 0; b < 4; ++b) {
+                hash ^= (owner >> (8 * b)) & 0xFFu;
+                hash *= 1099511628211ull;
+            }
+        }
+    }
+    return hash;
+}
+
+std::uint64_t
+expandedSoFar()
+{
+    const auto counters = metrics::Registry::global().counters();
+    const auto it = counters.find("astar.cells_expanded");
+    return it == counters.end() ? 0 : it->second;
+}
+
+/** Route the YOUTIAO design of @p chip (calibration seeded as in the
+ *  Table 2 bench) and compare against @p golden. */
+void
+expectRoutingGolden(const ChipTopology &chip,
+                    const ChipRoutingConfig &config,
+                    const RoutingGolden &golden)
+{
+    Prng prng(0x7AB1E2 + chip.qubitCount());
+    const ChipCharacterization data = characterizeChip(chip, prng);
+    YoutiaoConfig design_config;
+    design_config.fit.forest.treeCount = 10;
+    const YoutiaoDesign design =
+        YoutiaoDesigner(design_config).design(chip, data);
+    const auto nets = buildWiringNets(chip, design.xyPlan, design.zPlan,
+                                      design.readoutPlan, config);
+
+    const std::uint64_t before = expandedSoFar();
+    const ChipRoutingResult result = routeChip(chip, nets, config);
+    const std::uint64_t expanded = expandedSoFar() - before;
+
+    ASSERT_TRUE(result.grid.has_value());
+    EXPECT_EQ(result.failedConnections, 0u);
+    EXPECT_EQ(result.totalLengthMm, golden.totalLengthMm);
+    EXPECT_EQ(result.crossovers.size(), golden.crossovers);
+    EXPECT_EQ(expanded, golden.cellsExpanded);
+    EXPECT_EQ(ownerGridHash(*result.grid), golden.gridHash);
+}
+
+struct FamilyGolden
+{
+    TopologyFamily family;
+    RoutingGolden golden;
+};
+
+/** Names the parameter in test listings (the default prints raw bytes,
+ *  padding included, so the listed name would change from run to run). */
+void
+PrintTo(const FamilyGolden &golden, std::ostream *os)
+{
+    *os << topologyFamilyName(golden.family);
+}
+
+class RoutingExactnessGolden
+    : public ::testing::TestWithParam<FamilyGolden>
+{};
+
+TEST_P(RoutingExactnessGolden, Table2ChipAtDefaultConfig)
+{
+    expectRoutingGolden(makeTopology(GetParam().family),
+                        ChipRoutingConfig{}, GetParam().golden);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Table2, RoutingExactnessGolden,
+    ::testing::Values(
+        FamilyGolden{TopologyFamily::Square,
+                     {83.700000000000031, 29, 3427629,
+                      0x6b438b2caca85c27ull}},
+        FamilyGolden{TopologyFamily::Hexagon,
+                     {182.70000000000005, 54, 9158228,
+                      0x1877d2f01584164bull}},
+        FamilyGolden{TopologyFamily::HeavySquare,
+                     {212.37, 69, 10073764, 0xbfa79086634ca9f0ull}},
+        FamilyGolden{TopologyFamily::HeavyHexagon,
+                     {219.77999999999992, 66, 11114676,
+                      0xb605d8aaa633b27full}},
+        FamilyGolden{TopologyFamily::LowDensity,
+                     {173.63999999999999, 46, 7459190,
+                      0x2b0b5863e7bb48a1ull}}),
+    [](const ::testing::TestParamInfo<FamilyGolden> &param_info) {
+        std::string name;
+        for (const char c : std::string(topologyFamilyName(
+                 param_info.param.family)))
+            if (std::isalnum(static_cast<unsigned char>(c)))
+                name += c;
+        return name;
+    });
+
+TEST(RoutingExactnessGoldenTuned, SquareChipAtTileConfig)
+{
+    expectRoutingGolden(makeTopology(TopologyFamily::Square),
+                        tunedTileRoutingConfig(),
+                        {91.52000000000001, 22, 28583,
+                         0x5621313c7bb6ca7cull});
 }
 
 } // namespace
