@@ -20,6 +20,7 @@
 #include <variant>
 #include <vector>
 
+#include "common/cancel.hpp"
 #include "common/error.hpp"
 #include "common/flight.hpp"
 
@@ -230,6 +231,47 @@ class Expected
   private:
     std::variant<T, E> storage_;
 };
+
+/** A cooperative abort surfaced as a structured error: which reason,
+ *  and which poll site observed it ("where=" context). */
+inline DesignError
+cancelledError(const cancel::Cancelled &e)
+{
+    const DesignErrorCode code =
+        e.reason() == cancel::Reason::DeadlineExceeded
+            ? DesignErrorCode::DeadlineExceeded
+            : DesignErrorCode::Cancelled;
+    return DesignError(DesignStage::Validation, e.what(), code)
+        .with("where", e.where());
+}
+
+/**
+ * The throwing API over a robust entry point: the value on success; a
+ * cancellation code rethrows cancel::Cancelled with the same reason and
+ * poll site (the inverse of cancelledError); any other error throws
+ * ConfigError(error.toString()).
+ */
+template <typename T>
+T
+valueOrThrow(Expected<T, DesignError> result)
+{
+    if (result.hasValue())
+        return std::move(result.value());
+    const DesignError &error = result.error();
+    if (!error.isCancellation())
+        throw ConfigError(error.toString());
+    std::string where;
+    for (const std::string &entry : error.context) {
+        if (entry.rfind("where=", 0) == 0) {
+            where = entry.substr(6);
+            break;
+        }
+    }
+    throw cancel::Cancelled(error.code == DesignErrorCode::DeadlineExceeded
+                                ? cancel::Reason::DeadlineExceeded
+                                : cancel::Reason::Cancelled,
+                            std::move(where));
+}
 
 } // namespace youtiao
 

@@ -121,18 +121,6 @@ struct SeamNeighbor
     double crosstalk = 0.0;
 };
 
-/** Map a cooperative abort onto the structured error ladder. */
-DesignError
-cancelledError(const cancel::Cancelled &e)
-{
-    const DesignErrorCode code =
-        e.reason() == cancel::Reason::DeadlineExceeded
-            ? DesignErrorCode::DeadlineExceeded
-            : DesignErrorCode::Cancelled;
-    return DesignError(DesignStage::Validation, e.what(), code)
-        .with("where", e.where());
-}
-
 // Checkpoint payloads for the per-tile barriers. Every field the merge,
 // seam stitch, and hierarchical router read from a tile design is
 // serialized byte-exactly (checkpoint::ByteWriter memcpy's doubles), so
@@ -354,35 +342,14 @@ HierarchicalDesigner::designFromMeasurements(
     const ChipTopology &chip, const ChipCharacterization &data,
     double w_phy) const
 {
-    return designFromMeasurements(
-        chip, makeUniformTileMap(chip, hier_.tileSizeQubits), data, w_phy);
-}
-
-HierarchicalDesign
-HierarchicalDesigner::designFromMeasurements(
-    const ChipTopology &chip, const TileMap &map,
-    const ChipCharacterization &data, double w_phy) const
-{
-    requireConfig(data.xyCrosstalk.size() == chip.qubitCount() &&
-                      data.zzCrosstalkMHz.size() == chip.qubitCount(),
-                  "characterization does not match the chip");
-    return designTiles(chip, map, &data, w_phy);
+    return valueOrThrow(designFromMeasurementsRobust(chip, data, w_phy));
 }
 
 HierarchicalDesign
 HierarchicalDesigner::designSynthesized(const ChipTopology &chip,
                                         double w_phy) const
 {
-    return designSynthesized(
-        chip, makeUniformTileMap(chip, hier_.tileSizeQubits), w_phy);
-}
-
-HierarchicalDesign
-HierarchicalDesigner::designSynthesized(const ChipTopology &chip,
-                                        const TileMap &map,
-                                        double w_phy) const
-{
-    return designTiles(chip, map, nullptr, w_phy);
+    return valueOrThrow(designSynthesizedRobust(chip, w_phy));
 }
 
 Expected<HierarchicalDesign, DesignError>
@@ -390,26 +357,7 @@ HierarchicalDesigner::designSynthesizedRobust(
     const ChipTopology &chip, double w_phy,
     DegradationReport *partial) const
 {
-    std::atomic<std::size_t> done{0};
-    std::size_t total = 0;
-    try {
-        HierarchicalDesign design = designTiles(
-            chip, makeUniformTileMap(chip, hier_.tileSizeQubits), nullptr,
-            w_phy, &done, &total);
-        // A budget spent in the last stage still ends the run.
-        cancel::poll("hier.done");
-        return design;
-    } catch (const cancel::Cancelled &e) {
-        if (partial != nullptr)
-            partial->notes.push_back(
-                "cancelled after " + std::to_string(done.load()) +
-                " of " + std::to_string(total) + " tiles designed");
-        return cancelledError(e)
-            .with("tiles_designed", done.load())
-            .with("tiles_total", total);
-    } catch (const std::exception &e) {
-        return DesignError(DesignStage::Validation, e.what());
-    }
+    return designRobust(chip, nullptr, w_phy, partial);
 }
 
 Expected<HierarchicalDesign, DesignError>
@@ -417,15 +365,27 @@ HierarchicalDesigner::designFromMeasurementsRobust(
     const ChipTopology &chip, const ChipCharacterization &data,
     double w_phy, DegradationReport *partial) const
 {
+    return designRobust(chip, &data, w_phy, partial);
+}
+
+Expected<HierarchicalDesign, DesignError>
+HierarchicalDesigner::designRobust(const ChipTopology &chip,
+                                   const ChipCharacterization *data,
+                                   double w_phy,
+                                   DegradationReport *partial) const
+{
     std::atomic<std::size_t> done{0};
     std::size_t total = 0;
     try {
-        requireConfig(data.xyCrosstalk.size() == chip.qubitCount() &&
-                          data.zzCrosstalkMHz.size() == chip.qubitCount(),
-                      "characterization does not match the chip");
+        if (data != nullptr)
+            requireConfig(
+                data->xyCrosstalk.size() == chip.qubitCount() &&
+                    data->zzCrosstalkMHz.size() == chip.qubitCount(),
+                "characterization does not match the chip");
         HierarchicalDesign design = designTiles(
-            chip, makeUniformTileMap(chip, hier_.tileSizeQubits), &data,
-            w_phy, &done, &total);
+            chip, makeUniformTileMap(chip, hier_.tileSizeQubits), data,
+            w_phy, done, total);
+        // A budget spent in the last stage still ends the run.
         cancel::poll("hier.done");
         return design;
     } catch (const cancel::Cancelled &e) {
@@ -445,8 +405,8 @@ HierarchicalDesign
 HierarchicalDesigner::designTiles(const ChipTopology &chip, TileMap map,
                                   const ChipCharacterization *data,
                                   double w_phy,
-                                  std::atomic<std::size_t> *tiles_done,
-                                  std::size_t *tiles_total) const
+                                  std::atomic<std::size_t> &tiles_done,
+                                  std::size_t &tiles_total) const
 {
     const metrics::ScopedTimer timer("hier.design");
     const trace::TraceSpan span("hier.design", "hier");
@@ -510,8 +470,7 @@ HierarchicalDesigner::designTiles(const ChipTopology &chip, TileMap map,
     // master seed untouched (bit-identity with the flat path); multiple
     // tiles draw independent streams via taskSeed.
     const bool single_tile = out.tiles.size() == 1;
-    if (tiles_total != nullptr)
-        *tiles_total = out.tiles.size();
+    tiles_total = out.tiles.size();
     std::vector<std::size_t> order(out.tiles.size());
     for (std::size_t i = 0; i < order.size(); ++i)
         order[i] = i;
@@ -526,9 +485,7 @@ HierarchicalDesigner::designTiles(const ChipTopology &chip, TileMap map,
             if (!single_tile && checkpoint::active()) {
                 std::vector<std::uint8_t> blob;
                 if (checkpoint::fetch(ckpt_key, blob)) {
-                    if (tiles_done != nullptr)
-                        tiles_done->fetch_add(1,
-                                              std::memory_order_relaxed);
+                    tiles_done.fetch_add(1, std::memory_order_relaxed);
                     return unpackTileDesign(blob);
                 }
             }
@@ -560,24 +517,15 @@ HierarchicalDesigner::designTiles(const ChipTopology &chip, TileMap map,
             const YoutiaoDesigner designer(tile_config);
             auto result = designer.designFromMeasurementsRobust(
                 tile.chip, tile_data, w_phy);
-            if (!result.hasValue()) {
-                if (result.error().isCancellation())
-                    throw cancel::Cancelled(
-                        result.error().code ==
-                                DesignErrorCode::DeadlineExceeded
-                            ? cancel::Reason::DeadlineExceeded
-                            : cancel::Reason::Cancelled,
-                        "hier.tile");
+            if (!result.hasValue() && !result.error().isCancellation())
                 throw ConfigError("tile " + std::to_string(t) +
                                   " design failed: " +
                                   result.error().toString());
-            }
+            YoutiaoDesign design = valueOrThrow(std::move(result));
             if (!single_tile && checkpoint::active())
-                checkpoint::store(ckpt_key,
-                                  packTileDesign(result.value()));
-            if (tiles_done != nullptr)
-                tiles_done->fetch_add(1, std::memory_order_relaxed);
-            return std::move(result.value());
+                checkpoint::store(ckpt_key, packTileDesign(design));
+            tiles_done.fetch_add(1, std::memory_order_relaxed);
+            return design;
         });
     for (std::size_t t = 0; t < out.tiles.size(); ++t)
         out.tiles[t].design = std::move(designs[t]);

@@ -149,15 +149,11 @@ class HierarchicalDesigner
     /**
      * Fit-free tiled design from measured matrices (sliced per tile).
      * With a single tile the result's merged design is bit-identical to
-     * YoutiaoDesigner::designFromMeasurements.
+     * YoutiaoDesigner::designFromMeasurements. Throwing form of
+     * designFromMeasurementsRobust() (valueOrThrow over it).
      */
     HierarchicalDesign
     designFromMeasurements(const ChipTopology &chip,
-                           const ChipCharacterization &data,
-                           double w_phy = 0.6) const;
-
-    HierarchicalDesign
-    designFromMeasurements(const ChipTopology &chip, const TileMap &map,
                            const ChipCharacterization &data,
                            double w_phy = 0.6) const;
 
@@ -166,22 +162,20 @@ class HierarchicalDesigner
      * measurement, O(tile^2) instead of O(chip^2)) and design from those
      * measurements. The merged design leaves the global predicted
      * matrices empty -- at 10k+ qubits they would not fit memory.
+     * Throwing form of designSynthesizedRobust() (valueOrThrow over it).
      */
     HierarchicalDesign designSynthesized(const ChipTopology &chip,
                                          double w_phy = 0.6) const;
 
-    HierarchicalDesign designSynthesized(const ChipTopology &chip,
-                                         const TileMap &map,
-                                         double w_phy = 0.6) const;
-
     /**
-     * Structured-error variants of the two entry points above. A tile
+     * Robust entry points, the one implementation of both inputs. A tile
      * whose design fails, or a cooperative abort (common/cancel.hpp),
      * comes back as a DesignError instead of an exception; cancellation
      * carries code Cancelled/DeadlineExceeded and, when @p partial is
      * non-null, records how far the tile fan-out got ("cancelled after
      * N of M tiles") so a deadline-killed run still reports structured
-     * progress.
+     * progress. A tile the flat degradation ladder rescued keeps its
+     * DegradationReport.
      */
     Expected<HierarchicalDesign, DesignError>
     designSynthesizedRobust(const ChipTopology &chip, double w_phy = 0.6,
@@ -194,13 +188,21 @@ class HierarchicalDesigner
                                  DegradationReport *partial = nullptr) const;
 
   private:
+    /** Shared body of the robust entry points; @p data null means
+     *  per-tile synthetic characterization. */
+    Expected<HierarchicalDesign, DesignError>
+    designRobust(const ChipTopology &chip,
+                 const ChipCharacterization *data, double w_phy,
+                 DegradationReport *partial) const;
+
+    /** Tile extraction, per-tile design on the pool, merge and seam
+     *  stitch; counts finished tiles into @p tiles_done out of
+     *  @p tiles_total for cancellation progress. */
     HierarchicalDesign designTiles(const ChipTopology &chip, TileMap map,
                                    const ChipCharacterization *data,
                                    double w_phy,
-                                   std::atomic<std::size_t> *tiles_done
-                                   = nullptr,
-                                   std::size_t *tiles_total
-                                   = nullptr) const;
+                                   std::atomic<std::size_t> &tiles_done,
+                                   std::size_t &tiles_total) const;
 
     /** Boundary-aware frequency retune over the seam band. */
     void stitchSeamsImpl(const ChipTopology &chip,

@@ -83,12 +83,17 @@ struct YoutiaoDesign
     /** Resource tally + cost. */
     WiringCounts counts;
     double costUsd = 0.0;
-    /** What the robust pipeline gave up (empty on clean runs and on
-     *  designs produced by the throwing entry points). */
+    /** What the degradation ladder gave up (empty on clean runs). */
     DegradationReport degradation;
 };
 
-/** The pipeline. */
+/**
+ * The pipeline. Each input comes in two forms: a robust entry point
+ * returning Expected<YoutiaoDesign, DesignError>, and a throwing one that
+ * is valueOrThrow() over it -- same stage sequence, same ladder, same
+ * DegradationReport; a DesignError becomes ConfigError (or
+ * cancel::Cancelled for a cooperative abort).
+ */
 class YoutiaoDesigner
 {
   public:
@@ -98,14 +103,15 @@ class YoutiaoDesigner
 
     /**
      * Full pipeline: fit models from @p data, then design the wiring for
-     * @p chip.
+     * @p chip. Throwing form of designRobust().
      */
     YoutiaoDesign design(const ChipTopology &chip,
                          const ChipCharacterization &data) const;
 
     /**
      * Design with pre-fitted models (the Figure 12 transfer experiment:
-     * fit on one chip, wire another).
+     * fit on one chip, wire another). Throwing form of
+     * designWithModelsRobust().
      */
     YoutiaoDesign designWithModels(const ChipTopology &chip,
                                    const CrosstalkModel &xy_model,
@@ -116,23 +122,24 @@ class YoutiaoDesigner
      * directly on measured crosstalk matrices with fixed equivalent-
      * distance weights (no random-forest stage). Used when calibration
      * matrices are trusted as-is -- and by the count/cost benches, where
-     * the fit is irrelevant.
+     * the fit is irrelevant. Throwing form of
+     * designFromMeasurementsRobust().
      */
     YoutiaoDesign designFromMeasurements(const ChipTopology &chip,
                                          const ChipCharacterization &data,
                                          double w_phy = 0.6) const;
 
     /**
-     * Graceful-degradation variants: instead of throwing on the first
-     * infeasible stage, these walk the degradation ladder (partition
-     * falls back to a single region, infeasible allocations retry with
-     * shrunken group sizes and seeded perturbation under
-     * RobustnessConfig::maxAllocationAttempts, broken DEMUX channels
-     * strand their device onto a dedicated line) and record every
-     * concession in the design's DegradationReport. When nothing fails
-     * the result is bit-identical to the throwing entry points. A chip
-     * no ladder step can rescue yields a structured DesignError --
-     * these functions do not throw on bad inputs.
+     * Robust entry points, the one implementation of the pipeline:
+     * instead of giving up on the first infeasible stage, they walk the
+     * degradation ladder (partition falls back to a single region,
+     * infeasible allocations retry with shrunken group sizes and seeded
+     * perturbation under RobustnessConfig::maxAllocationAttempts, broken
+     * DEMUX channels strand their device onto a dedicated line) and
+     * record every concession in the design's DegradationReport. A chip
+     * no ladder step can rescue, or a cooperative abort, yields a
+     * structured DesignError -- these functions do not throw on bad
+     * inputs.
      */
     Expected<YoutiaoDesign, DesignError>
     designRobust(const ChipTopology &chip,
@@ -157,11 +164,6 @@ class YoutiaoDesigner
                                         const YoutiaoDesign &design) const;
 
   private:
-    YoutiaoDesign finishDesign(const ChipTopology &chip,
-                               SymmetricMatrix predicted_xy,
-                               SymmetricMatrix predicted_zz, double w_phy,
-                               YoutiaoDesign out) const;
-
     Expected<YoutiaoDesign, DesignError>
     finishDesignRobust(const ChipTopology &chip,
                        SymmetricMatrix predicted_xy,

@@ -39,8 +39,6 @@ std::vector<Point>
 perimeterSlots(const Point &lo, const Point &hi, double spacing)
 {
     std::vector<Point> slots;
-    const double w = hi.x - lo.x;
-    const double h = hi.y - lo.y;
     for (double x = lo.x; x <= hi.x; x += spacing) {
         slots.push_back(Point{x, lo.y});
         slots.push_back(Point{x, hi.y});
@@ -49,8 +47,6 @@ perimeterSlots(const Point &lo, const Point &hi, double spacing)
         slots.push_back(Point{lo.x, y});
         slots.push_back(Point{hi.x, y});
     }
-    (void)w;
-    (void)h;
     return slots;
 }
 

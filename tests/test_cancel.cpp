@@ -103,6 +103,46 @@ TEST_F(CancelTest, RobustDesignSurfacesStructuredCancellation)
     EXPECT_EQ(result.error().code, DesignErrorCode::Cancelled);
 }
 
+TEST_F(CancelTest, ThrowingDesignRethrowsTheCancellation)
+{
+    // The throwing entry points must surface a cooperative abort as
+    // cancel::Cancelled with its reason -- never as a ConfigError, which
+    // callers treat as a bad input.
+    const ChipTopology chip = makeSquareGrid(4, 4);
+    Prng prng(7);
+    const ChipCharacterization data = characterizeChip(chip, prng);
+    YoutiaoConfig config;
+    config.fit.forest.treeCount = 8;
+    const YoutiaoDesigner designer(config);
+
+    cancel::requestCancel("test");
+    try {
+        (void)designer.design(chip, data);
+        FAIL() << "design() must throw under a tripped token";
+    } catch (const cancel::Cancelled &e) {
+        EXPECT_EQ(e.reason(), cancel::Reason::Cancelled);
+        EXPECT_FALSE(e.where().empty());
+    }
+}
+
+TEST_F(CancelTest, ThrowingHierarchicalDesignRethrowsTheDeadline)
+{
+    const ChipTopology chip = makeSquareGrid(16, 16);
+    HierarchicalConfig hier;
+    hier.tileSizeQubits = 64;
+    const HierarchicalDesigner designer({}, hier);
+
+    cancel::armDeadline(1e-9);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    try {
+        (void)designer.designSynthesized(chip);
+        FAIL() << "designSynthesized() must throw past its deadline";
+    } catch (const cancel::Cancelled &e) {
+        EXPECT_EQ(e.reason(), cancel::Reason::DeadlineExceeded);
+        EXPECT_FALSE(e.where().empty());
+    }
+}
+
 TEST_F(CancelTest, HierarchicalCancellationIsPromptAndReportsProgress)
 {
     // The satellite latency bound: a 1k-qubit hierarchical design under

@@ -1,5 +1,6 @@
-// Graceful degradation through the robust design pipeline: the clean
-// path is bit-identical to the throwing entry points, every ladder rung
+// Graceful degradation through the robust design pipeline: the throwing
+// entry points are value-or-throw wrappers over it (same design, same
+// report), byte goldens pin the clean output, every ladder rung
 // produces a usable design with an honest DegradationReport, and
 // exhaustion yields a structured DesignError instead of a crash.
 
@@ -8,8 +9,11 @@
 #include <gtest/gtest.h>
 
 #include "chip/topology_builder.hpp"
+#include "common/error.hpp"
 #include "common/fault.hpp"
 #include "common/prng.hpp"
+#include "common/runledger.hpp"
+#include "core/hierarchical.hpp"
 #include "core/serialization.hpp"
 #include "core/youtiao.hpp"
 #include "multiplex/tdm.hpp"
@@ -193,6 +197,86 @@ TEST_F(DegradationTest, MismatchedCharacterizationIsAValidationError)
     auto result = designer.designFromMeasurementsRobust(chip, wrong);
     ASSERT_FALSE(result.hasValue());
     EXPECT_EQ(result.error().stage, DesignStage::Validation);
+}
+
+TEST_F(DegradationTest, ThrowingEntryPointShipsTheLaddersDesign)
+{
+    // The throwing entry points wrap the robust ones: an armed fault the
+    // ladder rescues comes back as the same degraded design, notes and
+    // all, instead of being ignored.
+    const ChipTopology chip = grid(4, 4);
+    const ChipCharacterization data = characterize(chip);
+    const YoutiaoDesigner designer;
+    fault::configure("design.tdm_group:1:1");
+    fault::enable();
+    auto robust = designer.designFromMeasurementsRobust(chip, data);
+    ASSERT_TRUE(robust.hasValue());
+    fault::reset();
+    fault::configure("design.tdm_group:1:1");
+    fault::enable();
+    const YoutiaoDesign plain = designer.designFromMeasurements(chip, data);
+    EXPECT_FALSE(plain.degradation.empty());
+    EXPECT_EQ(plain.degradation.notes, robust.value().degradation.notes);
+    EXPECT_EQ(plain.degradation.summary(),
+              robust.value().degradation.summary());
+    EXPECT_EQ(designToString(plain), designToString(robust.value()));
+}
+
+TEST_F(DegradationTest, ZeroLineCapacityIsAnErrorOnBothSurfaces)
+{
+    // A configured capacity of 0 is a bad input, not a ladder rung: the
+    // robust path must not quietly design at capacity 1.
+    const ChipTopology chip = grid(3, 3);
+    const ChipCharacterization data = characterize(chip);
+    YoutiaoConfig config;
+    config.fdm.lineCapacity = 0;
+    const YoutiaoDesigner designer(config);
+    auto result = designer.designFromMeasurementsRobust(chip, data);
+    ASSERT_FALSE(result.hasValue());
+    EXPECT_EQ(result.error().stage, DesignStage::FrequencyAllocation);
+    EXPECT_THROW((void)designer.designFromMeasurements(chip, data),
+                 ConfigError);
+}
+
+// Design byte goldens: FNV-1a of the text codec of a clean design, one
+// per entry-point family. The values pin the exact output of the stage
+// sequence (PRNG consumption, grouping, allocation, partition, seam
+// stitch); any change to them is a behaviour change, not a refactor.
+
+TEST_F(DegradationTest, DesignByteGoldenFlatFit)
+{
+    const ChipTopology chip = grid(5, 5);
+    const ChipCharacterization data = characterize(chip);
+    YoutiaoConfig config;
+    config.fit.forest.treeCount = 10;
+    const YoutiaoDesign design = YoutiaoDesigner(config).design(chip, data);
+    EXPECT_EQ(runledger::fnv1aHex(designToString(design)),
+              "f7403dd404e5d6ed");
+}
+
+TEST_F(DegradationTest, DesignByteGoldenFlatMeasurementsPartitioned)
+{
+    // 36 qubits > the partition threshold (24): the generative
+    // partition runs.
+    const ChipTopology chip = grid(6, 6);
+    const ChipCharacterization data = characterize(chip, 11);
+    const YoutiaoDesign design =
+        YoutiaoDesigner().designFromMeasurements(chip, data);
+    ASSERT_GT(design.partition.regions.size(), 1u);
+    EXPECT_EQ(runledger::fnv1aHex(designToString(design)),
+              "4293b2e283dff885");
+}
+
+TEST_F(DegradationTest, DesignByteGoldenHierarchicalSynthesized)
+{
+    const ChipTopology chip = grid(16, 16);
+    HierarchicalConfig hier;
+    hier.tileSizeQubits = 64;
+    const HierarchicalDesign design =
+        HierarchicalDesigner({}, hier).designSynthesized(chip);
+    ASSERT_GT(design.tiles.size(), 1u);
+    EXPECT_EQ(runledger::fnv1aHex(designToString(design.merged)),
+              "e57560f49b4e19bf");
 }
 
 TEST_F(DegradationTest, DegradationSummaryOnlyPrintsWhenNonEmpty)

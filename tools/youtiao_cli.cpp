@@ -76,6 +76,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "chip/chip_bin.hpp"
@@ -198,6 +199,28 @@ medianPhases(std::vector<std::map<std::string, metrics::PhaseStats>> &runs)
         out[name] = stats;
     }
     return out;
+}
+
+/**
+ * Report a design the robust entry point could not produce -- log line,
+ * "design error: ..." on stderr, then any partial-progress notes -- and
+ * return the exit code: 3 with a flight dump for a cooperative abort
+ * (cancel or deadline), 1 for any other failure.
+ */
+int
+designFailureExit(std::string_view log_message, const DesignError &error,
+                  const DegradationReport &partial = {})
+{
+    const std::string what = error.toString();
+    log::error(log_message, {{"error", what}});
+    std::fprintf(stderr, "design error: %s\n", what.c_str());
+    for (const std::string &note : partial.notes)
+        std::fprintf(stderr, "  partial: %s\n", note.c_str());
+    if (error.isCancellation()) {
+        flight::dump("cancelled");
+        return 3;
+    }
+    return 1;
 }
 
 } // namespace
@@ -453,22 +476,9 @@ runCli(int argc, char **argv, runledger::Recorder &recorder)
             Expected<HierarchicalDesign, DesignError> hresult =
                 hdesigner.designSynthesizedRobust(chip, 0.6,
                                                   &hier_partial);
-            if (!hresult.hasValue()) {
-                const DesignError &err = hresult.error();
-                const std::string what = err.toString();
-                log::error("hierarchical design failed",
-                           {{"error", what}});
-                std::fprintf(stderr, "design error: %s\n",
-                             what.c_str());
-                for (const std::string &note : hier_partial.notes)
-                    std::fprintf(stderr, "  partial: %s\n",
-                                 note.c_str());
-                if (err.isCancellation()) {
-                    flight::dump("cancelled");
-                    return 3;
-                }
-                return 1;
-            }
+            if (!hresult.hasValue())
+                return designFailureExit("hierarchical design failed",
+                                         hresult.error(), hier_partial);
             const HierarchicalDesign &hdesign = hresult.value();
             std::fputs(hierarchicalReport(chip, hdesign, config).c_str(),
                        stdout);
@@ -515,22 +525,15 @@ runCli(int argc, char **argv, runledger::Recorder &recorder)
         Prng prng(seed);
         const ChipCharacterization data = characterizeChip(chip, prng);
         const YoutiaoDesigner designer(config);
-        // The robust entry point walks the degradation ladder when fault
-        // injection (or a genuinely infeasible input) bites; on a clean
-        // run its output is bit-identical to designer.design().
+        // The robust entry point (design() is valueOrThrow over it)
+        // keeps the structured DesignError, so a failure maps to its
+        // exit code instead of a generic "error:" line.
         auto run_design = [&designer, &chip, &data]() -> YoutiaoDesign {
             Expected<YoutiaoDesign, DesignError> result =
                 designer.designRobust(chip, data);
-            if (!result.hasValue()) {
-                const std::string what = result.error().toString();
-                log::error("design failed", {{"error", what}});
-                std::fprintf(stderr, "design error: %s\n", what.c_str());
-                if (result.error().isCancellation()) {
-                    flight::dump("cancelled");
-                    throw ExitFailure{3};
-                }
-                throw ExitFailure{1};
-            }
+            if (!result.hasValue())
+                throw ExitFailure{
+                    designFailureExit("design failed", result.error())};
             return std::move(result.value());
         };
         std::map<std::string, metrics::PhaseStats> profile_phases;
