@@ -19,9 +19,18 @@ namespace youtiao {
 class ConfigError : public std::runtime_error
 {
   public:
+    /** Start of every what(). */
+    static constexpr std::string_view kPrefix = "youtiao config error: ";
+
     explicit ConfigError(const std::string &msg)
-        : std::runtime_error("youtiao config error: " + msg)
+        : std::runtime_error(std::string(kPrefix) + msg)
     {}
+
+    /** what() without kPrefix: the message as thrown. */
+    std::string_view message() const
+    {
+        return std::string_view(what()).substr(kPrefix.size());
+    }
 };
 
 /** Raised when an internal invariant is violated (a library bug). */

@@ -15,6 +15,7 @@
 #ifndef YOUTIAO_COMMON_EXPECTED_HPP
 #define YOUTIAO_COMMON_EXPECTED_HPP
 
+#include <exception>
 #include <string>
 #include <utility>
 #include <variant>
@@ -243,6 +244,19 @@ cancelledError(const cancel::Cancelled &e)
             : DesignErrorCode::Cancelled;
     return DesignError(DesignStage::Validation, e.what(), code)
         .with("where", e.where());
+}
+
+/**
+ * What a caught exception says, for the message of a DesignError: a
+ * ConfigError's message without its prefix, which valueOrThrow puts
+ * back, so a thrown error carries the prefix once.
+ */
+inline std::string
+causeOf(const std::exception &e)
+{
+    if (const auto *config = dynamic_cast<const ConfigError *>(&e))
+        return std::string(config->message());
+    return e.what();
 }
 
 /**

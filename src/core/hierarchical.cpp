@@ -397,7 +397,7 @@ HierarchicalDesigner::designRobust(const ChipTopology &chip,
             .with("tiles_designed", done.load())
             .with("tiles_total", total);
     } catch (const std::exception &e) {
-        return DesignError(DesignStage::Validation, e.what());
+        return DesignError(DesignStage::Validation, causeOf(e));
     }
 }
 

@@ -1,6 +1,7 @@
 #include "core/youtiao.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <sstream>
 
 #include "common/cancel.hpp"
@@ -98,7 +99,7 @@ YoutiaoDesigner::designRobust(const ChipTopology &chip,
     } catch (const cancel::Cancelled &e) {
         return cancelledError(e);
     } catch (const std::exception &e) {
-        return DesignError(DesignStage::ModelFit, e.what());
+        return DesignError(DesignStage::ModelFit, causeOf(e));
     }
     return designWithModelsRobust(chip, xy, zz);
 }
@@ -123,7 +124,7 @@ YoutiaoDesigner::designWithModelsRobust(const ChipTopology &chip,
         return cancelledError(e);
     } catch (const std::exception &e) {
         return DesignError(DesignStage::ModelFit,
-                           std::string("prediction failed: ") + e.what());
+                           "prediction failed: " + causeOf(e));
     }
     try {
         return finishDesignRobust(chip, std::move(predicted_xy),
@@ -186,7 +187,7 @@ YoutiaoDesigner::finishDesignRobust(const ChipTopology &chip,
     } catch (const cancel::Cancelled &) {
         throw;
     } catch (const std::exception &e) {
-        return DesignError(DesignStage::Validation, e.what());
+        return DesignError(DesignStage::Validation, causeOf(e));
     }
 
     cancel::poll("design.partition");
@@ -210,7 +211,7 @@ YoutiaoDesigner::finishDesignRobust(const ChipTopology &chip,
                     throw;
                 } catch (const std::exception &e) {
                     degraded.notes.push_back(
-                        std::string("partition failed (") + e.what() +
+                        "partition failed (" + causeOf(e) +
                         "); using a single region");
                     single_region = true;
                 }
@@ -237,8 +238,7 @@ YoutiaoDesigner::finishDesignRobust(const ChipTopology &chip,
     const std::size_t configured_capacity = config_.fdm.lineCapacity;
     std::size_t capacity = configured_capacity;
     Prng retry_prng(taskSeed(config_.seed, 0x0DE6'7ADEull));
-    FdmPlan ideal_xy;
-    bool have_ideal_xy = false;
+    std::optional<std::size_t> first_xy_lines;
     std::string last_failure;
     bool allocated = false;
     for (std::size_t attempt = 0; attempt < budget && !allocated;
@@ -283,10 +283,6 @@ YoutiaoDesigner::finishDesignRobust(const ChipTopology &chip,
                     config_.frequency);
             }
             allocated = true;
-            if (!have_ideal_xy) {
-                ideal_xy = out.xyPlan;
-                have_ideal_xy = true;
-            }
             if (attempt > 0) {
                 degraded.allocationAttempts = attempt + 1;
                 degraded.fdmCapacityUsed = capacity;
@@ -299,7 +295,7 @@ YoutiaoDesigner::finishDesignRobust(const ChipTopology &chip,
         } catch (const cancel::Cancelled &) {
             throw;
         } catch (const std::exception &e) {
-            last_failure = e.what();
+            last_failure = causeOf(e);
             metrics::count("design.allocation_retries");
             trace::instant("design.allocation_retry", "design");
             degraded.notes.push_back(
@@ -308,11 +304,8 @@ YoutiaoDesigner::finishDesignRobust(const ChipTopology &chip,
                 " failed: " + last_failure);
             // The first attempt's grouping is the undegraded resource
             // estimate even when its allocation failed.
-            if (attempt == 0 && !out.xyPlan.lines.empty() &&
-                !have_ideal_xy) {
-                ideal_xy = out.xyPlan;
-                have_ideal_xy = true;
-            }
+            if (attempt == 0 && !out.xyPlan.lines.empty())
+                first_xy_lines = out.xyPlan.lineCount();
             if (capacity > 1)
                 --capacity;
         }
@@ -342,7 +335,7 @@ YoutiaoDesigner::finishDesignRobust(const ChipTopology &chip,
                 throw;
             } catch (const std::exception &e) {
                 degraded.notes.push_back(
-                    std::string("TDM grouping failed (") + e.what() +
+                    "TDM grouping failed (" + causeOf(e) +
                     "); dedicated Z lines");
                 dedicated_fallback = true;
             }
@@ -350,8 +343,12 @@ YoutiaoDesigner::finishDesignRobust(const ChipTopology &chip,
         if (dedicated_fallback)
             out.zPlan = dedicatedZPlan(chip);
     }
-    FdmPlan ideal_xy_for_counts = have_ideal_xy ? ideal_xy : out.xyPlan;
-    const TdmPlan ideal_z = out.zPlan;
+    // The undegraded wiring for the cost delta: the first grouping's XY
+    // lines and the Z plan before DEMUX faults move any device.
+    WiringCounts ideal_counts = multiplexedWiringCounts(
+        chip.qubitCount(), out.xyPlan, out.zPlan, config_.cost);
+    if (first_xy_lines)
+        ideal_counts.xyLines = *first_xy_lines;
 
     // Broken DEMUX output channels strand their device: move it to a
     // dedicated Z line. Moving a device out of a group can never break
@@ -412,7 +409,7 @@ YoutiaoDesigner::finishDesignRobust(const ChipTopology &chip,
                 throw;
             } catch (const std::exception &e) {
                 degraded.notes.push_back(
-                    std::string("readout planning failed (") + e.what() +
+                    "readout planning failed (" + causeOf(e) +
                     "); dedicated feedlines");
                 dedicated_readout = true;
             }
@@ -430,9 +427,6 @@ YoutiaoDesigner::finishDesignRobust(const ChipTopology &chip,
     out.costUsd = wiringCostUsd(out.counts, config_.cost);
     degraded.residualCrosstalkCost = out.frequencyPlan.crosstalkCost;
     if (!degraded.empty()) {
-        const WiringCounts ideal_counts = multiplexedWiringCounts(
-            chip.qubitCount(), ideal_xy_for_counts, ideal_z,
-            config_.cost);
         degraded.costDeltaUsd =
             out.costUsd - wiringCostUsd(ideal_counts, config_.cost);
         metrics::count("design.degraded_designs");

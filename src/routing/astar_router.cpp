@@ -31,6 +31,12 @@ constexpr int kDirCount =
     static_cast<int>(SearchArena::kStatesPerCell);
 constexpr long kMoves[kDirCount][2] = {{1, 0}, {-1, 0}, {0, 1}, {0, -1}};
 
+/** Step cost of reusing a cell the net already owns (the cheapest). */
+constexpr double kReuseStep = 0.02;
+/** Largest |heuristic weight| at which routeAstar filters pushes: every
+ *  step then exceeds the change in the heuristic by at least 0.01. */
+constexpr double kPushFilterMaxWeight = kReuseStep / 2;
+
 } // namespace
 
 std::size_t
@@ -108,6 +114,9 @@ routeAstar(RoutingGrid &grid, Cell from, Cell to, std::int32_t net_id,
     std::uint32_t goal_state = no_parent;
     std::size_t expanded = 0;
     std::size_t dominated = 0;
+    std::size_t pushes_skipped = 0;
+    const bool filter_pushes =
+        std::abs(config.heuristicWeight) <= kPushFilterMaxWeight;
     const std::size_t to_idx = flat(to);
     const auto wl = static_cast<long>(w);
     const auto hl = static_cast<long>(h);
@@ -156,9 +165,11 @@ routeAstar(RoutingGrid &grid, Cell from, Cell to, std::int32_t net_id,
             const std::int32_t owner = grid.ownerAt(nidx);
             if (owner == RoutingGrid::kObstacle)
                 continue;
+            const bool next_on_bridge =
+                owner != net_id && owner != RoutingGrid::kFree;
             double step;
             if (owner == net_id) {
-                step = 0.02; // trunk reuse is nearly free
+                step = kReuseStep; // trunk reuse is nearly free
             } else if (owner == RoutingGrid::kFree) {
                 step = 1.0;
                 // Crowding: staying off pad walls keeps alleys open.
@@ -183,14 +194,30 @@ routeAstar(RoutingGrid &grid, Cell from, Cell to, std::int32_t net_id,
                 arena.relax(nstate, cand, state);
                 const Cell next{static_cast<std::size_t>(nx),
                                 static_cast<std::size_t>(ny)};
-                open.emplace(cand + heuristic(next, to,
-                                              config.heuristicWeight),
+                const double h_next =
+                    heuristic(next, to, config.heuristicWeight);
+                // An off-bridge entry whose sibling closes first at a
+                // cost no larger than cand would pop only to be skipped
+                // as dominated, so it is not queued; the g/parent write
+                // above stays. The one other effect of that pop, closing
+                // nstate, rejects later relaxations of it. Those come
+                // from a neighbour p expanded later, at a key f_p >=
+                // cand + h_next (pops are monotone under a consistent
+                // heuristic), so they offer f_p - h_p + step >= cand +
+                // step - |weight| >= cand + 0.01: never an improvement.
+                if (filter_pushes && !next_on_bridge &&
+                    arena.siblingClosesFirst(nstate, cand, h_next)) {
+                    ++pushes_skipped;
+                    continue;
+                }
+                open.emplace(cand + h_next,
                              static_cast<std::uint32_t>(nstate));
             }
         }
     }
     metrics::count("astar.cells_expanded", expanded);
     metrics::count("astar.dominated_skips", dominated);
+    metrics::count("astar.pushes_skipped", pushes_skipped);
     metrics::observe("astar.cells_expanded",
                      static_cast<double>(expanded));
     trace::counter("astar.cells_expanded",

@@ -60,8 +60,14 @@ struct AstarConfig
      * weights (up to ~1.0, the new-metal step cost) make the search
      * goal-directed and orders of magnitude faster; paths may then
      * under-reuse trunks but remain valid routes. The hierarchical tile
-     * router runs at 1.0; the flat path keeps the default so existing
+     * router runs at 2.0; the flat path keeps the default so existing
      * results stay bit-identical.
+     *
+     * At |weight| <= 0.01 (half the reuse step) the heuristic is
+     * consistent with a key gap of at least 0.01 per step, and
+     * routeAstar skips queueing direction states a sibling is sure to
+     * dominate (SearchArena::siblingClosesFirst). Above it the filter
+     * is off: it is exact only under a consistent heuristic.
      */
     double heuristicWeight = 0.01;
 };
@@ -157,6 +163,32 @@ class SearchArena
         for (std::size_t k = first; k < first + kStatesPerCell; ++k) {
             // A closed state was relaxed this search, so g_[k] is live.
             if (k != s && closed(k) && g_[k] <= g)
+                return true;
+        }
+        return false;
+    }
+
+    /**
+     * True when another direction state of @p s's cell will close before
+     * a queue entry (g + h, s) pops, with a cost no larger than @p g:
+     * it is closed with g' <= g, or it was relaxed this search with
+     * g' <= g and its key (g' + h, k) orders first. @p h is the cell's
+     * heuristic, so both keys are rounded exactly as the queued ones.
+     * Such an entry would only pop to be skipped by
+     * closedSiblingNoWorse, so routeAstar does not queue it (exact only
+     * under a consistent heuristic; see routeAstar).
+     */
+    bool siblingClosesFirst(std::size_t s, double g, double h) const
+    {
+        const std::size_t first = s - s % kStatesPerCell;
+        const double key = g + h;
+        for (std::size_t k = first; k < first + kStatesPerCell; ++k) {
+            if (k == s || stamp_[k] != generation_ || g_[k] > g)
+                continue;
+            if (closed(k))
+                return true;
+            const double key_k = g_[k] + h;
+            if (key_k < key || (key_k == key && k < s))
                 return true;
         }
         return false;

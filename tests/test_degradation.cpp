@@ -238,6 +238,51 @@ TEST_F(DegradationTest, ZeroLineCapacityIsAnErrorOnBothSurfaces)
                  ConfigError);
 }
 
+/** Occurrences of ConfigError's what() prefix in @p text. */
+std::size_t
+configPrefixCount(const std::string &text)
+{
+    const std::string prefix = "youtiao config error: ";
+    std::size_t count = 0;
+    for (std::size_t at = text.find(prefix); at != std::string::npos;
+         at = text.find(prefix, at + prefix.size()))
+        ++count;
+    return count;
+}
+
+TEST_F(DegradationTest, ThrownDesignErrorsCarryOneConfigPrefix)
+{
+    // The robust path keeps the bare message of a ConfigError it
+    // catches; the throwing wrapper adds the prefix exactly once.
+    const ChipTopology chip = grid(3, 3);
+    try {
+        (void)YoutiaoDesigner().designWithModels(chip, CrosstalkModel{},
+                                                 CrosstalkModel{});
+        FAIL() << "untrained models did not throw";
+    } catch (const ConfigError &e) {
+        EXPECT_EQ(configPrefixCount(e.what()), 1u) << e.what();
+        EXPECT_EQ(std::string(e.what()).rfind("youtiao config error: ", 0),
+                  0u)
+            << e.what();
+    }
+    YoutiaoConfig config;
+    config.fdm.lineCapacity = 0;
+    try {
+        (void)YoutiaoDesigner(config).designFromMeasurements(
+            chip, characterize(chip));
+        FAIL() << "zero line capacity did not throw";
+    } catch (const ConfigError &e) {
+        EXPECT_EQ(configPrefixCount(e.what()), 1u) << e.what();
+    }
+    try {
+        (void)HierarchicalDesigner().designFromMeasurements(
+            chip, characterize(grid(2, 2)));
+        FAIL() << "mismatched characterization did not throw";
+    } catch (const ConfigError &e) {
+        EXPECT_EQ(configPrefixCount(e.what()), 1u) << e.what();
+    }
+}
+
 // Design byte goldens: FNV-1a of the text codec of a clean design, one
 // per entry-point family. The values pin the exact output of the stage
 // sequence (PRNG consumption, grouping, allocation, partition, seam

@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cstdint>
+#include <functional>
 #include <limits>
+#include <optional>
 #include <ostream>
+#include <queue>
 #include <string>
+#include <vector>
 
 #include "chip/topology_builder.hpp"
 #include "common/error.hpp"
@@ -459,8 +464,10 @@ TEST(ChipRouterExtra, RoutingAreaEqualsLengthTimesPitch)
 // Recorded before the A* hot path was reworked (unchecked grid reads,
 // skipped dominated direction states). Every figure is exact: a change
 // meant to be a pure speedup must reproduce the same routes, the same
-// number of closed search states and the same final owner grid. A change
-// that alters routes on purpose regenerates these numbers and says so.
+// number of expanded search states and the same final owner grid. The
+// closed-state count may fall only by closing fewer dominated states
+// (routeAstar's push filter queues fewer of them). A change that alters
+// routes on purpose regenerates these numbers and says so.
 
 namespace youtiao {
 namespace {
@@ -471,6 +478,10 @@ struct RoutingGolden
     std::size_t crossovers;
     std::uint64_t cellsExpanded;
     std::uint64_t gridHash;
+    /** Closed states that were expanded (cells_expanded minus
+     *  dominated_skips): the search order, which skipping work must not
+     *  move. */
+    std::uint64_t expansions;
 };
 
 /** FNV-1a over every cell owner (row-major, 4 little-endian bytes). */
@@ -492,10 +503,10 @@ ownerGridHash(const RoutingGrid &grid)
 }
 
 std::uint64_t
-expandedSoFar()
+counterSoFar(const char *name)
 {
     const auto counters = metrics::Registry::global().counters();
-    const auto it = counters.find("astar.cells_expanded");
+    const auto it = counters.find(name);
     return it == counters.end() ? 0 : it->second;
 }
 
@@ -515,9 +526,13 @@ expectRoutingGolden(const ChipTopology &chip,
     const auto nets = buildWiringNets(chip, design.xyPlan, design.zPlan,
                                       design.readoutPlan, config);
 
-    const std::uint64_t before = expandedSoFar();
+    const std::uint64_t before = counterSoFar("astar.cells_expanded");
+    const std::uint64_t skips_before = counterSoFar("astar.dominated_skips");
     const ChipRoutingResult result = routeChip(chip, nets, config);
-    const std::uint64_t expanded = expandedSoFar() - before;
+    const std::uint64_t expanded =
+        counterSoFar("astar.cells_expanded") - before;
+    const std::uint64_t skips =
+        counterSoFar("astar.dominated_skips") - skips_before;
 
     ASSERT_TRUE(result.grid.has_value());
     EXPECT_EQ(result.failedConnections, 0u);
@@ -525,6 +540,7 @@ expectRoutingGolden(const ChipTopology &chip,
     EXPECT_EQ(result.crossovers.size(), golden.crossovers);
     EXPECT_EQ(expanded, golden.cellsExpanded);
     EXPECT_EQ(ownerGridHash(*result.grid), golden.gridHash);
+    EXPECT_EQ(expanded - skips, golden.expansions);
 }
 
 struct FamilyGolden
@@ -555,19 +571,20 @@ INSTANTIATE_TEST_SUITE_P(
     Table2, RoutingExactnessGolden,
     ::testing::Values(
         FamilyGolden{TopologyFamily::Square,
-                     {83.700000000000031, 29, 3427629,
-                      0x6b438b2caca85c27ull}},
+                     {83.700000000000031, 29, 1211761,
+                      0x6b438b2caca85c27ull, 897464}},
         FamilyGolden{TopologyFamily::Hexagon,
-                     {182.70000000000005, 54, 9158228,
-                      0x1877d2f01584164bull}},
+                     {182.70000000000005, 54, 3223525,
+                      0x1877d2f01584164bull, 2394747}},
         FamilyGolden{TopologyFamily::HeavySquare,
-                     {212.37, 69, 10073764, 0xbfa79086634ca9f0ull}},
+                     {212.37, 69, 3471268, 0xbfa79086634ca9f0ull,
+                      2640655}},
         FamilyGolden{TopologyFamily::HeavyHexagon,
-                     {219.77999999999992, 66, 11114676,
-                      0xb605d8aaa633b27full}},
+                     {219.77999999999992, 66, 3823528,
+                      0xb605d8aaa633b27full, 2888278}},
         FamilyGolden{TopologyFamily::LowDensity,
-                     {173.63999999999999, 46, 7459190,
-                      0x2b0b5863e7bb48a1ull}}),
+                     {173.63999999999999, 46, 2525058,
+                      0x2b0b5863e7bb48a1ull, 1958600}}),
     [](const ::testing::TestParamInfo<FamilyGolden> &param_info) {
         std::string name;
         for (const char c : std::string(topologyFamilyName(
@@ -582,7 +599,303 @@ TEST(RoutingExactnessGoldenTuned, SquareChipAtTileConfig)
     expectRoutingGolden(makeTopology(TopologyFamily::Square),
                         tunedTileRoutingConfig(),
                         {91.52000000000001, 22, 28583,
-                         0x5621313c7bb6ca7cull});
+                         0x5621313c7bb6ca7cull, 10813});
+}
+
+} // namespace
+} // namespace youtiao
+
+// -- push filter: differential test against the unfiltered search ---------
+//
+// referenceRouteAstar is routeAstar as it was before pushes of dominated
+// direction states were filtered: the search loop is verbatim, only its
+// metrics, trace, watchdog and cancellation lines are left out, and it
+// reports the states it expanded. The filtered search must reproduce it
+// exactly on random grids -- paths, claimed cells and the number of
+// expanded states -- at the consistent default weight (where the filter
+// runs) and at the tile router's weight 2.0 (where it must stay off).
+
+namespace youtiao {
+namespace {
+
+constexpr int kRefDirCount = static_cast<int>(SearchArena::kStatesPerCell);
+constexpr long kRefMoves[kRefDirCount][2] = {
+    {1, 0}, {-1, 0}, {0, 1}, {0, -1}};
+
+double
+referenceHeuristic(const Cell &a, const Cell &b, double weight)
+{
+    const double dx = a.x > b.x ? static_cast<double>(a.x - b.x)
+                                : static_cast<double>(b.x - a.x);
+    const double dy = a.y > b.y ? static_cast<double>(a.y - b.y)
+                                : static_cast<double>(b.y - a.y);
+    return weight * (dx + dy);
+}
+
+std::optional<RoutedPath>
+referenceRouteAstar(RoutingGrid &grid, Cell from, Cell to,
+                    std::int32_t net_id, const AstarConfig &config,
+                    std::size_t &expansions)
+{
+    expansions = 0;
+    constexpr int kDirCount = kRefDirCount;
+    const auto &kMoves = kRefMoves;
+    const auto heuristic = referenceHeuristic;
+    SearchArena arena;
+    const std::size_t w = grid.width();
+    const std::size_t h = grid.height();
+    auto flat = [w](const Cell &c) { return c.y * w + c.x; };
+
+    auto mine_or_free = [&](const Cell &c) {
+        const std::int32_t o = grid.owner(c);
+        return o == RoutingGrid::kFree || o == net_id;
+    };
+    if (!mine_or_free(from) || !mine_or_free(to))
+        return std::nullopt;
+
+    const std::size_t state_count = w * h * kDirCount;
+    arena.begin(state_count);
+    constexpr std::uint32_t no_parent = SearchArena::kNoParent;
+
+    using Entry = std::pair<double, std::uint32_t>;
+    std::priority_queue<Entry, std::vector<Entry>, std::greater<>> open;
+    for (int d = 0; d < kDirCount; ++d) {
+        const std::size_t s = flat(from) * kDirCount +
+                              static_cast<std::size_t>(d);
+        arena.relax(s, 0.0, no_parent);
+        open.emplace(heuristic(from, to, config.heuristicWeight),
+                     static_cast<std::uint32_t>(s));
+    }
+
+    std::uint32_t goal_state = no_parent;
+    std::size_t expanded = 0;
+    std::size_t dominated = 0;
+    const std::size_t to_idx = flat(to);
+    const auto wl = static_cast<long>(w);
+    const auto hl = static_cast<long>(h);
+    while (!open.empty()) {
+        const auto [f, state] = open.top();
+        open.pop();
+        (void)f;
+        if (arena.closed(state))
+            continue;
+        arena.close(state);
+        ++expanded;
+        const std::size_t idx = state / kDirCount;
+        const int dir_in = static_cast<int>(state % kDirCount);
+        if (idx == to_idx) {
+            goal_state = state;
+            break;
+        }
+        const double g_here = arena.g(state);
+        const std::int32_t here_owner = grid.ownerAt(idx);
+        const bool on_bridge =
+            here_owner != RoutingGrid::kFree && here_owner != net_id;
+        if (!on_bridge && arena.closedSiblingNoWorse(state, g_here)) {
+            ++dominated;
+            continue;
+        }
+        const long hx = static_cast<long>(idx % w);
+        const long hy = static_cast<long>(idx / w);
+        for (int d = 0; d < kDirCount; ++d) {
+            if (on_bridge && d != dir_in)
+                continue; // bridges run straight
+            const long nx = hx + kMoves[d][0];
+            const long ny = hy + kMoves[d][1];
+            if (nx < 0 || ny < 0 || nx >= wl || ny >= hl)
+                continue;
+            const std::size_t nidx = static_cast<std::size_t>(ny * wl + nx);
+            const std::int32_t owner = grid.ownerAt(nidx);
+            if (owner == RoutingGrid::kObstacle)
+                continue;
+            double step;
+            if (owner == net_id) {
+                step = 0.02; // trunk reuse is nearly free
+            } else if (owner == RoutingGrid::kFree) {
+                step = 1.0;
+                for (const auto &mv : kMoves) {
+                    const long ax = nx + mv[0];
+                    const long ay = ny + mv[1];
+                    if (ax < 0 || ay < 0 || ax >= wl || ay >= hl)
+                        continue;
+                    if (grid.ownerAt(static_cast<std::size_t>(
+                            ay * wl + ax)) == RoutingGrid::kObstacle) {
+                        step += config.crowdingPenalty;
+                        break;
+                    }
+                }
+            } else {
+                step = config.bridgeCost; // airbridge crossover
+            }
+            const std::size_t nstate =
+                nidx * kDirCount + static_cast<std::size_t>(d);
+            const double cand = g_here + step;
+            if (!arena.closed(nstate) && cand < arena.g(nstate)) {
+                arena.relax(nstate, cand, state);
+                const Cell next{static_cast<std::size_t>(nx),
+                                static_cast<std::size_t>(ny)};
+                open.emplace(cand + heuristic(next, to,
+                                              config.heuristicWeight),
+                             static_cast<std::uint32_t>(nstate));
+            }
+        }
+    }
+    expansions = expanded - dominated;
+    if (goal_state == no_parent)
+        return std::nullopt;
+
+    RoutedPath path;
+    std::uint32_t state = goal_state;
+    const std::size_t from_idx = flat(from);
+    while (true) {
+        const std::size_t idx = state / kDirCount;
+        path.cells.push_back(Cell{idx % w, idx / w});
+        if (idx == from_idx && arena.parent(state) == no_parent)
+            break;
+        state = arena.parent(state);
+        requireInternal(state != no_parent, "broken A* parent chain");
+    }
+    std::reverse(path.cells.begin(), path.cells.end());
+    for (const Cell &c : path.cells) {
+        const std::int32_t owner = grid.owner(c);
+        if (owner == net_id)
+            continue;
+        if (owner == RoutingGrid::kFree) {
+            grid.setOwner(c, net_id);
+            ++path.newCells;
+        } else {
+            path.crossovers.push_back(Crossover{c, net_id, owner});
+        }
+    }
+    return path;
+}
+
+/** A random grid of @p prng: obstacles, straight wires of foreign nets
+ *  1..3 (crossing them forces bridges) and a trunk of net 0. */
+RoutingGrid
+randomRoutingGrid(Prng &prng)
+{
+    RoutingGridConfig config;
+    config.cellMm = 1.0;
+    config.marginMm = 0.0;
+    const int w = prng.uniformInt(6, 28);
+    const int h = prng.uniformInt(6, 28);
+    RoutingGrid grid(Point{0, 0}, Point{w - 1.0, h - 1.0}, config);
+    const auto random_cell = [&] {
+        return Cell{prng.uniformInt(grid.width()),
+                    prng.uniformInt(grid.height())};
+    };
+    const std::size_t cells = grid.width() * grid.height();
+    for (std::size_t i = 0; i < cells / 8; ++i)
+        grid.setOwner(random_cell(), RoutingGrid::kObstacle);
+    const int wires = prng.uniformInt(1, 6);
+    for (int i = 0; i < wires; ++i) {
+        const auto net = static_cast<std::int32_t>(i % 4); // net 0 = trunk
+        Cell c = random_cell();
+        const bool horizontal = prng.uniform() < 0.5;
+        const std::size_t len = prng.uniformInt(std::size_t{12}) + 2;
+        for (std::size_t k = 0; k < len; ++k) {
+            grid.setOwner(c, net);
+            if (horizontal ? c.x + 1 >= grid.width()
+                           : c.y + 1 >= grid.height())
+                break;
+            (horizontal ? c.x : c.y) += 1;
+        }
+    }
+    return grid;
+}
+
+std::vector<std::int32_t>
+allOwners(const RoutingGrid &grid)
+{
+    std::vector<std::int32_t> owners;
+    owners.reserve(grid.width() * grid.height());
+    for (std::size_t y = 0; y < grid.height(); ++y)
+        for (std::size_t x = 0; x < grid.width(); ++x)
+            owners.push_back(grid.owner(Cell{x, y}));
+    return owners;
+}
+
+/** Route three nets in turn (two terminals of net 0, so the second
+ *  reuses the first's trunk, then a new net 4) with both searches on
+ *  two copies of each of @p grids random grids; every result and the
+ *  final owner grid must match. Adds the routes found to @p routed. */
+void
+expectFilteredMatchesReference(double weight, std::size_t grids,
+                               std::size_t &routed)
+{
+    AstarConfig config;
+    config.heuristicWeight = weight;
+    Prng prng(0xF117E2);
+    for (std::size_t g = 0; g < grids; ++g) {
+        RoutingGrid filtered = randomRoutingGrid(prng);
+        RoutingGrid reference = filtered;
+        SearchArena arena;
+        // A terminal on a free or own cell, if a few draws find one.
+        const auto terminal = [&](std::int32_t net) {
+            Cell c;
+            for (int tries = 0; tries < 16; ++tries) {
+                c = Cell{prng.uniformInt(filtered.width()),
+                         prng.uniformInt(filtered.height())};
+                const std::int32_t owner = filtered.owner(c);
+                if (owner == RoutingGrid::kFree || owner == net)
+                    break;
+            }
+            return c;
+        };
+        for (const std::int32_t net : {0, 0, 4}) {
+            const Cell from = terminal(net);
+            const Cell to = terminal(net);
+            const std::uint64_t closed =
+                counterSoFar("astar.cells_expanded");
+            const std::uint64_t skips = counterSoFar("astar.dominated_skips");
+            const auto got =
+                routeAstar(filtered, from, to, net, arena, config);
+            const std::uint64_t got_expansions =
+                (counterSoFar("astar.cells_expanded") - closed) -
+                (counterSoFar("astar.dominated_skips") - skips);
+            std::size_t want_expansions = 0;
+            const auto want = referenceRouteAstar(reference, from, to, net,
+                                                  config, want_expansions);
+            ASSERT_EQ(got.has_value(), want.has_value())
+                << "grid " << g << " net " << net;
+            EXPECT_EQ(got_expansions, want_expansions)
+                << "grid " << g << " net " << net;
+            if (!got)
+                continue;
+            ++routed;
+            EXPECT_EQ(got->cells, want->cells) << "grid " << g;
+            EXPECT_EQ(got->newCells, want->newCells) << "grid " << g;
+            ASSERT_EQ(got->crossovers.size(), want->crossovers.size())
+                << "grid " << g;
+            for (std::size_t k = 0; k < got->crossovers.size(); ++k) {
+                EXPECT_EQ(got->crossovers[k].cell,
+                          want->crossovers[k].cell);
+                EXPECT_EQ(got->crossovers[k].overNet,
+                          want->crossovers[k].overNet);
+            }
+        }
+        ASSERT_EQ(allOwners(filtered), allOwners(reference))
+            << "grid " << g;
+    }
+}
+
+TEST(AstarPushFilter, MatchesUnfilteredSearchAtConsistentWeight)
+{
+    const std::uint64_t skipped = counterSoFar("astar.pushes_skipped");
+    std::size_t routed = 0;
+    expectFilteredMatchesReference(0.01, 240, routed);
+    EXPECT_GT(routed, 240u);
+    EXPECT_GT(counterSoFar("astar.pushes_skipped") - skipped, 0u);
+}
+
+TEST(AstarPushFilter, StaysOffAtTileRouterWeight)
+{
+    const std::uint64_t skipped = counterSoFar("astar.pushes_skipped");
+    std::size_t routed = 0;
+    expectFilteredMatchesReference(2.0, 240, routed);
+    EXPECT_GT(routed, 240u);
+    EXPECT_EQ(counterSoFar("astar.pushes_skipped") - skipped, 0u);
 }
 
 } // namespace
