@@ -27,6 +27,7 @@
 #include "multiplex/fdm.hpp"
 #include "multiplex/frequency_allocation.hpp"
 #include "routing/chip_router.hpp"
+#include "routing/drc.hpp"
 #include "sim/fidelity_estimator.hpp"
 #include "sim/statevector.hpp"
 
@@ -153,10 +154,14 @@ printPartE()
     const auto nets =
         buildWiringNets(chip, design.xyPlan, design.zPlan, readout);
     const ChipRoutingResult route = routeChip(chip, nets);
-    std::printf("%zu nets routed, %zu crossovers, %.1f mm^2 routing "
-                "area\n\n",
-                route.netCount, route.crossovers.size(),
-                route.routingAreaMm2);
+    const bool drc_clean =
+        route.grid &&
+        checkRoutingDrc(*route.grid, nets.size(), route.crossovers).clean;
+    std::printf("%zu nets routed, %zu failed, DRC %s, %.2f mm wire, %zu "
+                "crossovers, %.1f mm^2 routing area\n\n",
+                route.netCount, route.failedConnections,
+                drc_clean ? "clean" : "DIRTY", route.totalLengthMm,
+                route.crossovers.size(), route.routingAreaMm2);
 
     // Statevector stint so sim.gate_kernels joins the perf record: an
     // 18-qubit brickwork circuit (single-qubit rotations + CZ/SWAP
@@ -201,11 +206,16 @@ printPartF()
                 "(%zu above epsilon)\n",
                 design.tiles.size(), design.seamCouplers.size(),
                 design.seamRetunes, design.seamViolationsUnresolved);
+    std::size_t tile_crossovers = 0;
+    for (const RoutedWiring &tile : routing.tiles)
+        tile_crossovers += tile.result.crossovers.size();
     std::printf("%zu nets routed, %zu failed, DRC %s, max corridor "
                 "width %.2f mm\n",
                 routing.totalNets, routing.failedConnections,
                 routing.clean() ? "clean" : "DIRTY",
                 routing.corridor.maxCorridorWidthMm);
+    std::printf("%.2f mm wire, %zu tile crossovers\n",
+                routing.totalLengthMm, tile_crossovers);
     std::printf("coax %zu vs analytic %zu (%.2fx, band [%.1f, %.1f] "
                 "%s)\n\n",
                 check.actualCoax, check.analyticCoax, check.ratio,

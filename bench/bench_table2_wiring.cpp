@@ -3,7 +3,8 @@
  * Reproduces paper Table 2: cryostat-level and chip-level wiring of five
  * topologies (square, hexagon, heavy square, heavy hexagon, low-density),
  * Google-style dedicated wiring vs YOUTIAO: #XY/#Z lines, DEMUX control
- * lines, #DAC, wiring cost, chip interfaces and routed area.
+ * lines, #DAC, wiring cost, chip interfaces and routed area, plus the
+ * routed wire length, airbridge crossovers and failed connections.
  */
 
 #include <benchmark/benchmark.h>
@@ -15,6 +16,7 @@
 #include "chip/topology_builder.hpp"
 #include "core/baselines.hpp"
 #include "routing/chip_router.hpp"
+#include "routing/drc.hpp"
 
 namespace {
 
@@ -31,7 +33,24 @@ struct SideMetrics
     double costUsd = 0.0;
     std::size_t interfaces = 0;
     double areaMm2 = 0.0;
+    double wireMm = 0.0;
+    std::size_t crossovers = 0;
+    std::size_t failed = 0;
+    bool drcClean = false;
 };
+
+void
+recordRoute(SideMetrics &side, const ChipRoutingResult &route,
+            std::size_t nets)
+{
+    side.areaMm2 = route.routingAreaMm2;
+    side.wireMm = route.totalLengthMm;
+    side.crossovers = route.crossovers.size();
+    side.failed = route.failedConnections;
+    side.drcClean =
+        route.grid && checkRoutingDrc(*route.grid, nets, route.crossovers)
+                          .clean;
+}
 
 SideMetrics
 googleSide(const ChipTopology &chip, const YoutiaoConfig &config)
@@ -44,7 +63,7 @@ googleSide(const ChipTopology &chip, const YoutiaoConfig &config)
                                       design.readoutPlan);
     const ChipRoutingResult route = routeChip(chip, nets);
     side.interfaces = design.counts.interfaces();
-    side.areaMm2 = route.routingAreaMm2;
+    recordRoute(side, route, nets.size());
     return side;
 }
 
@@ -64,7 +83,7 @@ youtiaoSide(const ChipTopology &chip, const YoutiaoConfig &config)
         buildWiringNets(chip, design.xyPlan, design.zPlan, readout);
     const ChipRoutingResult route = routeChip(chip, nets);
     side.interfaces = design.counts.interfaces();
-    side.areaMm2 = route.routingAreaMm2;
+    recordRoute(side, route, nets.size());
     return side;
 }
 
@@ -80,11 +99,12 @@ printTable()
 {
     const YoutiaoConfig config;
     std::printf("Table 2: evaluation of the quantum wiring system\n");
-    bench::rule(100);
-    std::printf("%-14s %6s | %5s %5s %6s %5s %9s %7s %7s | level\n",
+    bench::rule(122);
+    std::printf("%-14s %6s | %5s %5s %6s %5s %9s %7s %7s %8s %6s %5s | "
+                "level\n",
                 "topology", "#qubit", "#XY", "#Z", "#DEMUX", "#DAC",
-                "cost", "#iface", "area");
-    bench::rule(100);
+                "cost", "#iface", "area", "wire", "#xover", "#fail");
+    bench::rule(122);
     const std::vector<FamilyRow> rows =
         bench::tableRows(kFamilies, [&](TopologyFamily family) {
             const ChipTopology chip = makeTopology(family);
@@ -94,26 +114,33 @@ printTable()
             row.ours = youtiaoSide(chip, config);
             return row;
         });
+    std::size_t drc_clean = 0;
     for (std::size_t f = 0; f < kFamilies.size(); ++f) {
         const FamilyRow &row = rows[f];
+        drc_clean += (row.google.drcClean ? 1 : 0) +
+                     (row.ours.drcClean ? 1 : 0);
         const SideMetrics &google = row.google;
         const SideMetrics &ours = row.ours;
-        std::printf("%-14s %6zu | %5zu %5zu %6zu %5zu %9s %7zu %6.2f | "
-                    "Google\n",
+        std::printf("%-14s %6zu | %5zu %5zu %6zu %5zu %9s %7zu %7.2f "
+                    "%8.2f %6zu %5zu | Google\n",
                     topologyFamilyName(kFamilies[f]), row.qubits,
                     google.counts.xyLines, google.counts.zLines,
                     google.counts.demuxSelectLines, google.counts.dacs(),
                     bench::money(google.costUsd).c_str(),
-                    google.interfaces, google.areaMm2);
-        std::printf("%-14s %6s | %5zu %5zu %6zu %5zu %9s %7zu %6.2f | "
-                    "YOUTIAO (%.1fx cost, %.1fx area)\n",
+                    google.interfaces, google.areaMm2, google.wireMm,
+                    google.crossovers, google.failed);
+        std::printf("%-14s %6s | %5zu %5zu %6zu %5zu %9s %7zu %7.2f "
+                    "%8.2f %6zu %5zu | YOUTIAO (%.1fx cost, %.1fx area)\n",
                     "", "", ours.counts.xyLines, ours.counts.zLines,
                     ours.counts.demuxSelectLines, ours.counts.dacs(),
                     bench::money(ours.costUsd).c_str(), ours.interfaces,
-                    ours.areaMm2, google.costUsd / ours.costUsd,
+                    ours.areaMm2, ours.wireMm, ours.crossovers, ours.failed,
+                    google.costUsd / ours.costUsd,
                     google.areaMm2 / ours.areaMm2);
     }
-    bench::rule(100);
+    bench::rule(122);
+    std::printf("DRC: %zu of %zu routed grids clean\n", drc_clean,
+                2 * kFamilies.size());
     std::printf("paper: ~3.1x cryostat-level cost reduction, ~1.3x "
                 "routing-area reduction, ~1.6x fewer interfaces\n\n");
 }

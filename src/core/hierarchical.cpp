@@ -873,7 +873,6 @@ tunedTileRoutingConfig()
     ChipRoutingConfig config;
     config.grid.cellMm = 0.08;
     config.grid.marginMm = 1.0;
-    config.astar.heuristicWeight = 2.0;
     return config;
 }
 

@@ -214,8 +214,9 @@ class HierarchicalDesigner
 };
 
 /** Tile routing defaults tuned for the hierarchical path: coarser cells
- *  and a strongly goal-directed A* keep a 64-qubit tile under a second
- *  while staying DRC-clean (bench_fig17 part (f) pins this). */
+ *  (0.08 mm) and a 1 mm margin keep a 64-qubit tile's grid small while
+ *  staying DRC-clean (bench_fig17 part (f) pins this). The search is
+ *  the flat router's. */
 ChipRoutingConfig tunedTileRoutingConfig();
 
 /** Hierarchical routing knobs. */

@@ -1,7 +1,6 @@
 #include "routing/astar_router.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <queue>
 
@@ -15,27 +14,25 @@ namespace youtiao {
 
 namespace {
 
-/** Manhattan-distance heuristic; the caller's weight decides how
- *  goal-directed the search is (see AstarConfig::heuristicWeight). */
+constexpr int kDirCount =
+    static_cast<int>(SearchArena::kStatesPerCell);
+constexpr long kMoves[kDirCount][2] = {{1, 0}, {-1, 0}, {0, 1}, {0, -1}};
+
+/** Heuristic cost per cell of Manhattan distance to the target. Every
+ *  step the search relaxes costs at least 1, so the heuristic is
+ *  consistent with a key gap of at least 1 - kHeuristicWeight per step
+ *  (see routeAstar). */
+constexpr double kHeuristicWeight = 0.99;
+
 double
-heuristic(const Cell &a, const Cell &b, double weight)
+heuristic(const Cell &a, const Cell &b)
 {
     const double dx = a.x > b.x ? static_cast<double>(a.x - b.x)
                                 : static_cast<double>(b.x - a.x);
     const double dy = a.y > b.y ? static_cast<double>(a.y - b.y)
                                 : static_cast<double>(b.y - a.y);
-    return weight * (dx + dy);
+    return kHeuristicWeight * (dx + dy);
 }
-
-constexpr int kDirCount =
-    static_cast<int>(SearchArena::kStatesPerCell);
-constexpr long kMoves[kDirCount][2] = {{1, 0}, {-1, 0}, {0, 1}, {0, -1}};
-
-/** Step cost of reusing a cell the net already owns (the cheapest). */
-constexpr double kReuseStep = 0.02;
-/** Largest |heuristic weight| at which routeAstar filters pushes: every
- *  step then exceeds the change in the heuristic by at least 0.01. */
-constexpr double kPushFilterMaxWeight = kReuseStep / 2;
 
 } // namespace
 
@@ -65,18 +62,23 @@ requireAstarIndexable(std::size_t width, std::size_t height)
 }
 
 std::optional<RoutedPath>
-routeAstar(RoutingGrid &grid, Cell from, Cell to, std::int32_t net_id,
-           const AstarConfig &config)
+routeAstar(RoutingGrid &grid, const std::vector<Cell> &tree, Cell to,
+           std::int32_t net_id, const AstarConfig &config)
 {
     SearchArena arena;
-    return routeAstar(grid, from, to, net_id, arena, config);
+    return routeAstar(grid, tree, to, net_id, arena, config);
 }
 
 std::optional<RoutedPath>
-routeAstar(RoutingGrid &grid, Cell from, Cell to, std::int32_t net_id,
-           SearchArena &arena, const AstarConfig &config)
+routeAstar(RoutingGrid &grid, const std::vector<Cell> &tree, Cell to,
+           std::int32_t net_id, SearchArena &arena,
+           const AstarConfig &config)
 {
     requireConfig(net_id >= 0, "net id must be non-negative");
+    requireConfig(!tree.empty(), "A* needs at least one tree cell");
+    requireConfig(config.bridgeCost >= 1.0 && config.crowdingPenalty >= 0.0,
+                  "A* step costs must be at least 1 (bridgeCost >= 1, "
+                  "crowdingPenalty >= 0)");
     const std::size_t w = grid.width();
     const std::size_t h = grid.height();
     requireAstarIndexable(w, h);
@@ -87,7 +89,7 @@ routeAstar(RoutingGrid &grid, Cell from, Cell to, std::int32_t net_id,
         return o == RoutingGrid::kFree || o == net_id;
     };
     // Endpoints must be plain cells; a bridge cannot start or end a path.
-    if (!mine_or_free(from) || !mine_or_free(to))
+    if (!mine_or_free(to))
         return std::nullopt;
 
     // Search state: (cell, incoming direction). Direction matters only on
@@ -100,23 +102,25 @@ routeAstar(RoutingGrid &grid, Cell from, Cell to, std::int32_t net_id,
                        arena.memoryBytes());
     constexpr std::uint32_t no_parent = SearchArena::kNoParent;
 
+    // Seed every tree cell at g = 0 with no parent: the path may leave
+    // the net from any of them for free. All four direction states are
+    // set, so no relaxation (cost >= 1) ever improves a tree cell, and
+    // one queue entry per cell suffices (tree cells are never bridges).
     using Entry = std::pair<double, std::uint32_t>;
     std::priority_queue<Entry, std::vector<Entry>, std::greater<>> open;
-    // Seed: leaving the start cell in any direction.
-    for (int d = 0; d < kDirCount; ++d) {
-        const std::size_t s = flat(from) * kDirCount +
-                              static_cast<std::size_t>(d);
-        arena.relax(s, 0.0, no_parent);
-        open.emplace(heuristic(from, to, config.heuristicWeight),
-                     static_cast<std::uint32_t>(s));
+    for (const Cell &c : tree) {
+        if (!mine_or_free(c))
+            return std::nullopt;
+        const std::size_t first = flat(c) * kDirCount;
+        for (std::size_t s = first; s < first + kDirCount; ++s)
+            arena.relax(s, 0.0, no_parent);
+        open.emplace(heuristic(c, to), static_cast<std::uint32_t>(first));
     }
 
     std::uint32_t goal_state = no_parent;
     std::size_t expanded = 0;
     std::size_t dominated = 0;
     std::size_t pushes_skipped = 0;
-    const bool filter_pushes =
-        std::abs(config.heuristicWeight) <= kPushFilterMaxWeight;
     const std::size_t to_idx = flat(to);
     const auto wl = static_cast<long>(w);
     const auto hl = static_cast<long>(h);
@@ -168,9 +172,9 @@ routeAstar(RoutingGrid &grid, Cell from, Cell to, std::int32_t net_id,
             const bool next_on_bridge =
                 owner != net_id && owner != RoutingGrid::kFree;
             double step;
-            if (owner == net_id) {
-                step = kReuseStep; // trunk reuse is nearly free
-            } else if (owner == RoutingGrid::kFree) {
+            if (owner == RoutingGrid::kFree || owner == net_id) {
+                // New metal (an own cell off the tree is priced alike;
+                // the tree's own cells sit at g = 0 and never relax).
                 step = 1.0;
                 // Crowding: staying off pad walls keeps alleys open.
                 for (const auto &mv : kMoves) {
@@ -194,18 +198,17 @@ routeAstar(RoutingGrid &grid, Cell from, Cell to, std::int32_t net_id,
                 arena.relax(nstate, cand, state);
                 const Cell next{static_cast<std::size_t>(nx),
                                 static_cast<std::size_t>(ny)};
-                const double h_next =
-                    heuristic(next, to, config.heuristicWeight);
+                const double h_next = heuristic(next, to);
                 // An off-bridge entry whose sibling closes first at a
                 // cost no larger than cand would pop only to be skipped
                 // as dominated, so it is not queued; the g/parent write
                 // above stays. The one other effect of that pop, closing
                 // nstate, rejects later relaxations of it. Those come
                 // from a neighbour p expanded later, at a key f_p >=
-                // cand + h_next (pops are monotone under a consistent
+                // cand + h_next (pops are monotone under the consistent
                 // heuristic), so they offer f_p - h_p + step >= cand +
-                // step - |weight| >= cand + 0.01: never an improvement.
-                if (filter_pushes && !next_on_bridge &&
+                // step - 0.99 >= cand + 0.01: never an improvement.
+                if (!next_on_bridge &&
                     arena.siblingClosesFirst(nstate, cand, h_next)) {
                     ++pushes_skipped;
                     continue;
@@ -228,16 +231,14 @@ routeAstar(RoutingGrid &grid, Cell from, Cell to, std::int32_t net_id,
         return std::nullopt;
     }
 
+    // The path ends at the first parentless state: the tree cell it
+    // leaves the net from.
     RoutedPath path;
-    std::uint32_t state = goal_state;
-    const std::size_t from_idx = flat(from);
-    while (true) {
+    for (std::uint32_t state = goal_state;; state = arena.parent(state)) {
         const std::size_t idx = state / kDirCount;
         path.cells.push_back(Cell{idx % w, idx / w});
-        if (idx == from_idx && arena.parent(state) == no_parent)
+        if (arena.parent(state) == no_parent)
             break;
-        state = arena.parent(state);
-        requireInternal(state != no_parent, "broken A* parent chain");
     }
     std::reverse(path.cells.begin(), path.cells.end());
     for (const Cell &c : path.cells) {

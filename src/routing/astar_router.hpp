@@ -2,10 +2,11 @@
  * @file
  * A* maze router over the routing grid.
  *
- * Finds shortest 4-connected paths between net terminals. Cells already
- * owned by the same net are traversable at near-zero cost, so sequential
- * terminal routing approximates a Steiner tree (trunk reuse) -- exactly
- * how a shared FDM line daisy-chains its group.
+ * Routes one connection of a net at a time from the net's whole tree
+ * (every cell it already owns) to the next terminal. Tree cells cost
+ * nothing to leave from and only new metal costs, so routing terminals
+ * in turn grows a Steiner tree -- exactly how a shared FDM line
+ * daisy-chains its group.
  *
  * Cells owned by other nets can be crossed perpendicularly through an
  * airbridge crossover (standard practice on superconducting chips) at a
@@ -38,13 +39,19 @@ struct Crossover
 struct RoutedPath
 {
     std::vector<Cell> cells;
-    /** Number of newly claimed cells (excludes reuse and bridges). */
+    /** Number of newly claimed cells (excludes tree cells and bridges). */
     std::size_t newCells = 0;
     /** Airbridge crossovers used by this path. */
     std::vector<Crossover> crossovers;
 };
 
-/** Router cost knobs. */
+/**
+ * Router cost knobs. New metal costs 1 per cell; both knobs must keep
+ * every step at least that (bridgeCost >= 1, crowdingPenalty >= 0):
+ * routeAstar's fixed heuristic, 0.99 x Manhattan distance, is consistent
+ * only then, and its push filter is exact only under a consistent
+ * heuristic.
+ */
 struct AstarConfig
 {
     /** Cost of one airbridge crossover cell (>> 1 discourages them). */
@@ -52,24 +59,6 @@ struct AstarConfig
     /** Extra cost for new metal adjacent to an obstacle (keeps pad
      *  alleys open for later pins). */
     double crowdingPenalty = 0.25;
-    /**
-     * Manhattan-distance multiplier of the A* heuristic. The default
-     * stays below the cheapest per-step cost (same-net reuse, 0.02), so
-     * the search is admissible even along an existing trunk and paths
-     * are globally optimal -- at near-Dijkstra expansion cost. Larger
-     * weights (up to ~1.0, the new-metal step cost) make the search
-     * goal-directed and orders of magnitude faster; paths may then
-     * under-reuse trunks but remain valid routes. The hierarchical tile
-     * router runs at 2.0; the flat path keeps the default so existing
-     * results stay bit-identical.
-     *
-     * At |weight| <= 0.01 (half the reuse step) the heuristic is
-     * consistent with a key gap of at least 0.01 per step, and
-     * routeAstar skips queueing direction states a sibling is sure to
-     * dominate (SearchArena::siblingClosesFirst). Above it the filter
-     * is off: it is exact only under a consistent heuristic.
-     */
-    double heuristicWeight = 0.01;
 };
 
 /**
@@ -200,9 +189,6 @@ class SearchArena
      */
     std::uint32_t parent(std::size_t s) const { return parent_[s]; }
 
-    /** States the arena can hold without regrowing (diagnostic). */
-    std::size_t capacity() const { return g_.size(); }
-
     /** Bytes of working memory currently held (diagnostic). */
     std::size_t memoryBytes() const { return bytesFor(g_.size()); }
 
@@ -216,12 +202,17 @@ class SearchArena
 };
 
 /**
- * Route @p net_id from @p from to @p to on @p grid. Obstacles are
- * impassable; other nets' cells may be bridged perpendicularly. On
- * success the new cells are claimed for the net and the path returned;
- * on failure nullopt (grid unchanged).
+ * Route one more connection of net @p net_id on @p grid: the cheapest
+ * path from any cell of @p tree to @p to. The tree holds every cell the
+ * net owns (one free cell starts a new net); leaving from it is free, a
+ * new cell costs 1 (plus crowdingPenalty beside an obstacle) and an
+ * airbridge over another net's cell bridgeCost. Obstacles are
+ * impassable. On success the path's free cells are claimed for the net
+ * and the path returned, from the tree cell it leaves to @p to; on
+ * failure nullopt (grid unchanged).
  */
-std::optional<RoutedPath> routeAstar(RoutingGrid &grid, Cell from, Cell to,
+std::optional<RoutedPath> routeAstar(RoutingGrid &grid,
+                                     const std::vector<Cell> &tree, Cell to,
                                      std::int32_t net_id,
                                      const AstarConfig &config = {});
 
@@ -230,7 +221,8 @@ std::optional<RoutedPath> routeAstar(RoutingGrid &grid, Cell from, Cell to,
  * routes one net at a time and passes one arena through the whole chip).
  * Results are identical to the fresh-buffer overload.
  */
-std::optional<RoutedPath> routeAstar(RoutingGrid &grid, Cell from, Cell to,
+std::optional<RoutedPath> routeAstar(RoutingGrid &grid,
+                                     const std::vector<Cell> &tree, Cell to,
                                      std::int32_t net_id, SearchArena &arena,
                                      const AstarConfig &config = {});
 

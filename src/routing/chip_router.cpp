@@ -31,26 +31,35 @@ centroid(const NetSpec &net)
     return Point{c.x / n, c.y / n};
 }
 
-/**
- * Perimeter interface slots: points every @p spacing mm along the grid
- * boundary rectangle (one cell inside the edge).
- */
+} // namespace
+
 std::vector<Point>
-perimeterSlots(const Point &lo, const Point &hi, double spacing)
+perimeterSlots(const RoutingGrid &grid, const Point &lo, const Point &hi,
+               double spacing)
 {
+    requireConfig(spacing > 0.0, "interface spacing must be positive");
     std::vector<Point> slots;
-    for (double x = lo.x; x <= hi.x; x += spacing) {
-        slots.push_back(Point{x, lo.y});
-        slots.push_back(Point{x, hi.y});
+    std::vector<bool> taken(grid.width() * grid.height(), false);
+    const auto add = [&](const Point &p) {
+        const Cell c = grid.cellAt(p);
+        const std::size_t idx = c.y * grid.width() + c.x;
+        if (!taken[idx]) {
+            taken[idx] = true;
+            slots.push_back(p);
+        }
+    };
+    // Integral counters: slot i sits at lo + i * spacing, never at a
+    // sum that drifts.
+    for (double i = 0.0; lo.x + i * spacing <= hi.x; ++i) {
+        add(Point{lo.x + i * spacing, lo.y});
+        add(Point{lo.x + i * spacing, hi.y});
     }
-    for (double y = lo.y + spacing; y < hi.y; y += spacing) {
-        slots.push_back(Point{lo.x, y});
-        slots.push_back(Point{hi.x, y});
+    for (double i = 1.0; lo.y + i * spacing < hi.y; ++i) {
+        add(Point{lo.x, lo.y + i * spacing});
+        add(Point{hi.x, lo.y + i * spacing});
     }
     return slots;
 }
-
-} // namespace
 
 namespace {
 
@@ -209,8 +218,9 @@ routeOnce(const ChipTopology &chip, const std::vector<NetSpec> &nets,
         0.9 * perim / static_cast<double>(nets.size());
     spacing = std::max(2.0 * config.grid.cellMm,
                        std::min(spacing, needed));
-    std::vector<Point> slots = perimeterSlots(
-        Point{lo.x - m, lo.y - m}, Point{hi.x + m, hi.y + m}, spacing);
+    std::vector<Point> slots =
+        perimeterSlots(grid, Point{lo.x - m, lo.y - m},
+                       Point{hi.x + m, hi.y + m}, spacing);
     std::vector<bool> slot_used(slots.size(), false);
     requireConfig(slots.size() >= nets.size(),
                   "perimeter cannot host one interface per net");
@@ -230,9 +240,9 @@ routeOnce(const ChipTopology &chip, const std::vector<NetSpec> &nets,
         const trace::TraceSpan net_span("routing.net", "routing");
         const auto net_start = std::chrono::steady_clock::now();
 
-        // Claim the perimeter slot nearest the net centroid. The last
-        // slots of two edges can round to one grid cell at a corner: a
-        // slot whose cell another net already owns is not free.
+        // Claim the free perimeter slot nearest the net centroid. Slot
+        // cells are distinct, but clearing a claimed slot's square can
+        // free a neighbouring slot's cell, which a wire may then take.
         const Point c = centroid(net);
         double best = std::numeric_limits<double>::infinity();
         std::size_t best_slot = slots.size();
@@ -254,29 +264,25 @@ routeOnce(const ChipTopology &chip, const std::vector<NetSpec> &nets,
         grid.clearSquare(slots[best_slot], 0.5 * config.grid.cellMm);
 
         // Release this net's reserved pin cells, then route the
-        // terminals as a greedy nearest-neighbour chain from the
-        // interface so the trunk sweeps instead of zig-zagging.
+        // terminals in greedy nearest-neighbour order from the interface
+        // so the trunk sweeps instead of zig-zagging. The net's tree is
+        // every cell it owns: each connection routes from the whole
+        // tree, then adds the cells it newly claimed.
         for (const Point &t : net.terminals)
             grid.clearSquare(t, 0.5 * config.grid.cellMm);
-        std::vector<Point> tour;
-        {
-            std::vector<Point> left = net.terminals;
-            Point at = slots[best_slot];
-            while (!left.empty()) {
-                std::size_t pick = 0;
-                for (std::size_t k = 1; k < left.size(); ++k) {
-                    if (distance(left[k], at) < distance(left[pick], at))
-                        pick = k;
-                }
-                at = left[pick];
-                tour.push_back(at);
-                left.erase(left.begin() + static_cast<long>(pick));
-            }
-        }
         const Cell iface = grid.cellAt(slots[best_slot]);
         grid.setOwner(iface, net_id);
-        Cell anchor = iface;
-        for (const Point &t : tour) {
+        std::vector<Cell> tree{iface};
+        std::vector<Point> left = net.terminals;
+        Point at = slots[best_slot];
+        while (!left.empty()) {
+            std::size_t pick = 0;
+            for (std::size_t k = 1; k < left.size(); ++k) {
+                if (distance(left[k], at) < distance(left[pick], at))
+                    pick = k;
+            }
+            at = left[pick];
+            left.erase(left.begin() + static_cast<long>(pick));
             if (fault::site("routing.net")) {
                 // Injected routing failure: this terminal connection is
                 // unroutable, exactly as if A* had exhausted the grid.
@@ -284,17 +290,23 @@ routeOnce(const ChipTopology &chip, const std::vector<NetSpec> &nets,
                 net_failed[net_index] = true;
                 continue;
             }
-            const Cell target = grid.cellAt(t);
-            const auto path = routeAstar(grid, anchor, target, net_id,
+            const Cell target = grid.cellAt(at);
+            const auto path = routeAstar(grid, tree, target, net_id,
                                          arena, config.astar);
             if (!path.has_value()) {
                 ++result.failedConnections;
                 net_failed[net_index] = true;
                 continue;
             }
+            // The path leaves from a tree cell; the rest is new metal
+            // or bridges over other nets.
+            for (auto it = path->cells.begin() + 1; it != path->cells.end();
+                 ++it)
+                if (grid.owner(*it) == net_id)
+                    tree.push_back(*it);
             for (const Crossover &x : path->crossovers) {
-                // Trunk reuse can re-cross the same bridge; record each
-                // physical bridge once.
+                // A later connection can bridge a cell the net already
+                // crossed; record each physical bridge once.
                 const bool dup = std::any_of(
                     result.crossovers.begin(), result.crossovers.end(),
                     [&x](const Crossover &seen) {

@@ -57,7 +57,7 @@ struct ChipRoutingConfig
     std::vector<Point> blockedCells;
     /** Halfwidth of each blocked square (mm). */
     double blockedHalfWidthMm = 0.1;
-    /** Per-path A* cost knobs (defaults reproduce historic routes). */
+    /** Per-connection A* cost knobs. */
     AstarConfig astar;
 };
 
@@ -98,6 +98,15 @@ std::vector<NetSpec> buildWiringNets(const ChipTopology &chip,
                                      const TdmPlan &z_plan,
                                      const FdmPlan &readout_plan,
                                      const ChipRoutingConfig &config = {});
+
+/**
+ * Interface slots every @p spacing mm along the rectangle @p lo .. @p hi
+ * (the bottom and top edges, then the sides between them; slot i of an
+ * edge sits at its low end + i * spacing), at most one per cell of
+ * @p grid: a slot whose cell an earlier slot has is dropped.
+ */
+std::vector<Point> perimeterSlots(const RoutingGrid &grid, const Point &lo,
+                                  const Point &hi, double spacing);
 
 /** Route all nets on @p chip. */
 ChipRoutingResult routeChip(const ChipTopology &chip,

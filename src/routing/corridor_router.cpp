@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 #include <queue>
 
 #include "common/cancel.hpp"
@@ -279,20 +280,6 @@ routeCorridors(const CorridorLattice &lattice,
     metrics::count("corridor.nets_routed",
                    entries.size() - result.failedNets);
     return result;
-}
-
-std::optional<CorridorPath>
-routeCorridorPath(const CorridorLattice &lattice, std::uint64_t from,
-                  std::uint64_t to,
-                  const std::unordered_map<std::uint64_t, std::uint32_t>
-                      &usage,
-                  const CorridorConfig &config)
-{
-    requireConfig(to < lattice.segmentCount(),
-                  "corridor segment id out of range");
-    return searchCorridor(
-        lattice, from, [to](std::uint64_t id) { return id == to; }, usage,
-        config);
 }
 
 CorridorDrcReport

@@ -23,7 +23,6 @@
 #define YOUTIAO_ROUTING_CORRIDOR_ROUTER_HPP
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -147,16 +146,6 @@ struct CorridorResult
 CorridorResult routeCorridors(const CorridorLattice &lattice,
                               const std::vector<std::uint64_t> &entries,
                               const CorridorConfig &config = {});
-
-/**
- * Point-to-point corridor search (tests and diagnostics): cheapest
- * segment chain from @p from to @p to under @p usage. Sparse: on a huge
- * lattice only the neighbourhood between the endpoints is touched.
- */
-std::optional<CorridorPath> routeCorridorPath(
-    const CorridorLattice &lattice, std::uint64_t from, std::uint64_t to,
-    const std::unordered_map<std::uint64_t, std::uint32_t> &usage = {},
-    const CorridorConfig &config = {});
 
 /** Corridor design-rule report. */
 struct CorridorDrcReport

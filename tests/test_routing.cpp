@@ -79,12 +79,14 @@ TEST(AstarRouter, StraightLineRoute)
     RoutingGrid grid(Point{0, 0}, Point{5, 5});
     const Cell a = grid.cellAt(Point{0.5, 2.5});
     const Cell b = grid.cellAt(Point{4.5, 2.5});
-    const auto path = routeAstar(grid, a, b, 0);
+    // A new net's tree is its one start cell, claimed with the path.
+    const auto path = routeAstar(grid, {a}, b, 0);
     ASSERT_TRUE(path.has_value());
     EXPECT_EQ(path->cells.front(), a);
     EXPECT_EQ(path->cells.back(), b);
     // Manhattan-optimal: newCells == |dx| + 1 along a straight line.
     EXPECT_EQ(path->newCells, b.x - a.x + 1);
+    EXPECT_EQ(path->cells.size(), path->newCells);
 }
 
 TEST(AstarRouter, SharedArenaMatchesFreshBuffersExactly)
@@ -92,7 +94,9 @@ TEST(AstarRouter, SharedArenaMatchesFreshBuffersExactly)
     // Property test: one SearchArena reused across many sequential
     // searches must reproduce the fresh-buffer overload exactly --
     // same paths, same costs, same claimed cells -- because stale
-    // entries from earlier generations read back as "unvisited".
+    // entries from earlier generations read back as "unvisited". Each
+    // net routes two connections, the second from the tree the first
+    // grew, so multi-cell seeds go through the arena too.
     auto make_grid = [] {
         RoutingGrid grid(Point{0, 0}, Point{8, 8});
         grid.blockSquare(Point{3, 3}, 0.8);
@@ -104,29 +108,44 @@ TEST(AstarRouter, SharedArenaMatchesFreshBuffersExactly)
     RoutingGrid arena_grid = make_grid();
     SearchArena arena;
 
-    const std::vector<std::pair<Point, Point>> nets = {
-        {{0.5, 0.5}, {7.5, 7.5}}, {{0.5, 7.5}, {7.5, 0.5}},
-        {{1.0, 4.0}, {7.0, 4.0}}, {{4.0, 0.5}, {4.0, 7.5}},
-        {{0.5, 2.0}, {7.5, 6.0}}, {{6.5, 7.0}, {1.5, 1.0}},
+    const std::vector<std::vector<Point>> nets = {
+        {{0.5, 0.5}, {7.5, 7.5}, {7.5, 0.5}},
+        {{0.5, 7.5}, {7.5, 0.5}, {4.5, 7.5}},
+        {{1.0, 4.0}, {7.0, 4.0}, {4.5, 1.5}},
+        {{4.0, 0.5}, {4.0, 7.5}, {0.5, 5.0}},
+        {{0.5, 2.0}, {7.5, 6.0}, {6.0, 7.5}},
+        {{6.5, 7.0}, {1.5, 1.0}, {0.5, 0.5}},
     };
     for (std::size_t i = 0; i < nets.size(); ++i) {
         const auto net_id = static_cast<std::int32_t>(i + 1);
-        const Cell from = fresh_grid.cellAt(nets[i].first);
-        const Cell to = fresh_grid.cellAt(nets[i].second);
-        const auto fresh = routeAstar(fresh_grid, from, to, net_id);
-        const auto reused = routeAstar(arena_grid, from, to, net_id, arena);
-        ASSERT_EQ(fresh.has_value(), reused.has_value()) << "net " << i;
-        if (!fresh)
-            continue;
-        EXPECT_EQ(fresh->cells, reused->cells) << "net " << i;
-        EXPECT_EQ(fresh->newCells, reused->newCells) << "net " << i;
-        ASSERT_EQ(fresh->crossovers.size(), reused->crossovers.size());
-        for (std::size_t k = 0; k < fresh->crossovers.size(); ++k) {
-            EXPECT_EQ(fresh->crossovers[k].cell, reused->crossovers[k].cell);
-            EXPECT_EQ(fresh->crossovers[k].byNet,
-                      reused->crossovers[k].byNet);
-            EXPECT_EQ(fresh->crossovers[k].overNet,
-                      reused->crossovers[k].overNet);
+        std::vector<Cell> fresh_tree{fresh_grid.cellAt(nets[i][0])};
+        std::vector<Cell> arena_tree = fresh_tree;
+        for (std::size_t t = 1; t < nets[i].size(); ++t) {
+            const Cell to = fresh_grid.cellAt(nets[i][t]);
+            const auto fresh = routeAstar(fresh_grid, fresh_tree, to, net_id);
+            const auto reused =
+                routeAstar(arena_grid, arena_tree, to, net_id, arena);
+            ASSERT_EQ(fresh.has_value(), reused.has_value())
+                << "net " << i << " terminal " << t;
+            if (!fresh)
+                continue;
+            EXPECT_EQ(fresh->cells, reused->cells) << "net " << i;
+            EXPECT_EQ(fresh->newCells, reused->newCells) << "net " << i;
+            ASSERT_EQ(fresh->crossovers.size(), reused->crossovers.size());
+            for (std::size_t k = 0; k < fresh->crossovers.size(); ++k) {
+                EXPECT_EQ(fresh->crossovers[k].cell,
+                          reused->crossovers[k].cell);
+                EXPECT_EQ(fresh->crossovers[k].byNet,
+                          reused->crossovers[k].byNet);
+                EXPECT_EQ(fresh->crossovers[k].overNet,
+                          reused->crossovers[k].overNet);
+            }
+            for (const Cell &c : fresh->cells) {
+                if (fresh_grid.owner(c) == net_id) {
+                    fresh_tree.push_back(c);
+                    arena_tree.push_back(c);
+                }
+            }
         }
     }
     for (std::size_t y = 0; y < fresh_grid.height(); ++y)
@@ -139,13 +158,16 @@ TEST(AstarRouter, SharedArenaMatchesFreshBuffersExactly)
 
 TEST(AstarRouter, DominatedDirectionStatesAreSkipped)
 {
-    // The start cell is seeded in all four directions at g = 0. The
-    // first seed to close expands every neighbour; the other three are
-    // dominated and must close without expanding, yet still count as
-    // closed states.
-    RoutingGrid grid(Point{0, 0}, Point{2, 2});
-    const Cell a = grid.cellAt(Point{0.5, 1.0});
-    const Cell b = grid.cellAt(Point{1.5, 1.0});
+    // Corner to corner across an open 3x3 grid: the cells off the
+    // border are reached from the west and from the south at the same
+    // cost. The second direction state of such a cell to pop finds its
+    // sibling closed no worse and must close without expanding, yet
+    // still count as a closed state.
+    RoutingGridConfig config;
+    config.cellMm = 1.0;
+    config.marginMm = 0.0;
+    RoutingGrid grid(Point{0, 0}, Point{2, 2}, config);
+    ASSERT_EQ(grid.width(), 3u);
     const auto counter = [](const char *name) {
         const auto counters = metrics::Registry::global().counters();
         const auto it = counters.find(name);
@@ -153,7 +175,9 @@ TEST(AstarRouter, DominatedDirectionStatesAreSkipped)
     };
     const std::uint64_t skips = counter("astar.dominated_skips");
     const std::uint64_t closed = counter("astar.cells_expanded");
-    ASSERT_TRUE(routeAstar(grid, a, b, 0).has_value());
+    const auto path = routeAstar(grid, {Cell{0, 0}}, Cell{2, 2}, 0);
+    ASSERT_TRUE(path.has_value());
+    EXPECT_EQ(path->newCells, 5u);
     EXPECT_GE(counter("astar.dominated_skips") - skips, 3u);
     EXPECT_GT(counter("astar.cells_expanded") - closed,
               counter("astar.dominated_skips") - skips);
@@ -167,7 +191,7 @@ TEST(AstarRouter, RoutesAroundObstacle)
         grid.blockSquare(Point{3.0, y}, 0.01);
     const Cell a = grid.cellAt(Point{1.0, 2.0});
     const Cell b = grid.cellAt(Point{5.0, 2.0});
-    const auto path = routeAstar(grid, a, b, 1);
+    const auto path = routeAstar(grid, {a}, b, 1);
     ASSERT_TRUE(path.has_value());
     EXPECT_GT(path->newCells, grid.cellAt(Point{5.0, 2.0}).x -
                                   grid.cellAt(Point{1.0, 2.0}).x + 1);
@@ -182,7 +206,7 @@ TEST(AstarRouter, OtherNetCrossedViaAirbridge)
     // the route must hop it with exactly one perpendicular airbridge.
     for (std::size_t y = 0; y < grid.height(); ++y)
         grid.setOwner(Cell{grid.width() / 2, y}, 7);
-    const auto path = routeAstar(grid, a, b, 1);
+    const auto path = routeAstar(grid, {a}, b, 1);
     ASSERT_TRUE(path.has_value());
     ASSERT_EQ(path->crossovers.size(), 1u);
     EXPECT_EQ(path->crossovers[0].overNet, 7);
@@ -198,7 +222,7 @@ TEST(AstarRouter, ObstacleWallStillBlocks)
     const Cell b = grid.cellAt(Point{2.0, 0.0});
     for (std::size_t y = 0; y < grid.height(); ++y)
         grid.setOwner(Cell{grid.width() / 2, y}, RoutingGrid::kObstacle);
-    EXPECT_FALSE(routeAstar(grid, a, b, 1).has_value());
+    EXPECT_FALSE(routeAstar(grid, {a}, b, 1).has_value());
 }
 
 TEST(AstarRouter, SameNetReuseCheap)
@@ -206,22 +230,43 @@ TEST(AstarRouter, SameNetReuseCheap)
     RoutingGrid grid(Point{0, 0}, Point{4, 4});
     const Cell a = grid.cellAt(Point{0.0, 2.0});
     const Cell b = grid.cellAt(Point{4.0, 2.0});
-    const auto trunk = routeAstar(grid, a, b, 0);
+    const auto trunk = routeAstar(grid, {a}, b, 0);
     ASSERT_TRUE(trunk.has_value());
-    // Second terminal hooks onto the trunk: new metal is only the stub.
+    // Second terminal hooks onto the trunk: the tree is every trunk
+    // cell, and new metal is only the stub straight down to it.
     const Cell t = grid.cellAt(Point{2.0, 3.0});
-    const auto stub = routeAstar(grid, t, a, 0);
+    const Cell junction{t.x, a.y};
+    const auto stub = routeAstar(grid, trunk->cells, t, 0);
     ASSERT_TRUE(stub.has_value());
-    EXPECT_LE(stub->newCells,
-              grid.cellAt(Point{2.0, 3.0}).y - grid.cellAt(Point{2.0, 2.0}).y
-                  + 1);
+    EXPECT_EQ(stub->cells.front(), junction);
+    EXPECT_EQ(stub->newCells, t.y - junction.y);
+    EXPECT_EQ(stub->cells.size(), stub->newCells + 1);
+    EXPECT_TRUE(stub->crossovers.empty());
+    EXPECT_EQ(grid.occupiedCellCount(), trunk->newCells + stub->newCells);
 }
 
 TEST(AstarRouter, NegativeNetIdThrows)
 {
     RoutingGrid grid(Point{0, 0}, Point{1, 1});
-    EXPECT_THROW(routeAstar(grid, Cell{0, 0}, Cell{1, 1}, -1),
+    EXPECT_THROW(routeAstar(grid, {Cell{0, 0}}, Cell{1, 1}, -1),
                  ConfigError);
+}
+
+TEST(AstarRouter, StepsCheaperThanNewMetalOrNoTreeThrow)
+{
+    // The fixed heuristic (0.99 per cell) is consistent, and the push
+    // filter exact, only while every step costs at least 1.
+    RoutingGrid grid(Point{0, 0}, Point{1, 1});
+    AstarConfig cheap_bridge;
+    cheap_bridge.bridgeCost = 0.5;
+    EXPECT_THROW(routeAstar(grid, {Cell{0, 0}}, Cell{1, 1}, 0, cheap_bridge),
+                 ConfigError);
+    AstarConfig negative_crowding;
+    negative_crowding.crowdingPenalty = -0.1;
+    EXPECT_THROW(
+        routeAstar(grid, {Cell{0, 0}}, Cell{1, 1}, 0, negative_crowding),
+        ConfigError);
+    EXPECT_THROW(routeAstar(grid, {}, Cell{1, 1}, 0), ConfigError);
 }
 
 TEST(ChipRouter, RoutesGoogleWiringOnSquareChip)
@@ -444,6 +489,81 @@ TEST(ChipRouterExtra, InterfaceNeverClaimsAnotherNetsCell)
     }
 }
 
+TEST(ChipRouterExtra, PerimeterSlotsOccupyDistinctCells)
+{
+    // Slot i of an edge sits at lo + i * spacing, and a slot whose cell
+    // an earlier slot has is dropped. Accumulating the spacing instead
+    // let the last slots of two edges round to one grid cell, so two
+    // nets could claim one interface. Sweep box sizes and spacings at the
+    // flat and the tile router's pitch, as routeChip lays slots out.
+    for (const ChipRoutingConfig &config :
+         {ChipRoutingConfig{}, tunedTileRoutingConfig()}) {
+        const double cell = config.grid.cellMm;
+        const double m = 0.5 * config.grid.marginMm;
+        for (double wx = 0.1; wx < 3.0; wx += 0.23) {
+            for (double wy = 0.1; wy < 3.0; wy += 0.31) {
+                const RoutingGrid grid(Point{0.0, 0.0}, Point{wx, wy},
+                                       config.grid);
+                for (const double spacing :
+                     {2.0 * cell, 2.5 * cell, 3.7 * cell, 0.5}) {
+                    const std::vector<Point> slots =
+                        perimeterSlots(grid, Point{-m, -m},
+                                       Point{wx + m, wy + m}, spacing);
+                    ASSERT_GE(slots.size(), 4u);
+                    std::vector<std::pair<std::size_t, std::size_t>> cells;
+                    for (const Point &p : slots) {
+                        const Cell c = grid.cellAt(p);
+                        cells.emplace_back(c.y, c.x);
+                    }
+                    std::sort(cells.begin(), cells.end());
+                    EXPECT_EQ(std::adjacent_find(cells.begin(), cells.end()),
+                              cells.end())
+                        << "box " << wx << " x " << wy << ", cell " << cell
+                        << " mm, spacing " << spacing << " mm";
+                }
+            }
+        }
+    }
+}
+
+TEST(ChipRouterExtra, EveryNetGetsItsOwnInterface)
+{
+    // Eight single-pin nets around one qubit on boxes of a few shapes,
+    // at both pitches: routeChip hosts one interface per net, each on a
+    // cell of its own that its net owns, and the grid is DRC-clean.
+    for (const ChipRoutingConfig &config :
+         {ChipRoutingConfig{}, tunedTileRoutingConfig()}) {
+        for (const Point &box : {Point{0.6, 0.6}, Point{1.5, 0.7},
+                                 Point{0.9, 2.1}}) {
+            ChipTopology chip("interface sweep");
+            chip.addQubit(QubitInfo{});
+            std::vector<NetSpec> nets;
+            for (int i = 0; i < 8; ++i) {
+                const double fx = 0.2 + 0.8 * ((i % 4) / 3.0);
+                const double fy = 0.2 + 0.8 * ((i / 4) / 1.0);
+                nets.push_back(NetSpec{{Point{0.4 + fx * box.x,
+                                              0.4 + fy * box.y}}});
+            }
+            const ChipRoutingResult result = routeChip(chip, nets, config);
+            ASSERT_TRUE(result.grid.has_value());
+            EXPECT_EQ(result.failedConnections, 0u);
+            EXPECT_EQ(result.interfaceCount, nets.size());
+            ASSERT_EQ(result.interfaces.size(), nets.size());
+            for (std::size_t n = 0; n < nets.size(); ++n) {
+                const Cell iface = result.grid->cellAt(result.interfaces[n]);
+                EXPECT_EQ(result.grid->owner(iface),
+                          static_cast<std::int32_t>(n))
+                    << "box " << box.x << " x " << box.y << ", net " << n;
+            }
+            const DrcReport report = checkRoutingDrc(
+                *result.grid, nets.size(), result.crossovers);
+            EXPECT_TRUE(report.clean)
+                << (report.violations.empty() ? ""
+                                              : report.violations.front());
+        }
+    }
+}
+
 TEST(ChipRouterExtra, RoutingAreaEqualsLengthTimesPitch)
 {
     const ChipTopology chip = makeSquare();
@@ -461,13 +581,13 @@ TEST(ChipRouterExtra, RoutingAreaEqualsLengthTimesPitch)
 
 // -- routing exactness golden ---------------------------------------------
 //
-// Recorded before the A* hot path was reworked (unchecked grid reads,
-// skipped dominated direction states). Every figure is exact: a change
-// meant to be a pure speedup must reproduce the same routes, the same
-// number of expanded search states and the same final owner grid. The
-// closed-state count may fall only by closing fewer dominated states
-// (routeAstar's push filter queues fewer of them). A change that alters
-// routes on purpose regenerates these numbers and says so.
+// Recorded when every connection became a search from the net's whole
+// tree (every cell it owns) at the fixed heuristic weight 0.99. Every
+// figure is exact: a change meant to be a pure speedup must reproduce
+// the same routes, the same number of expanded search states and the
+// same final owner grid. The closed-state count may fall only by closing
+// fewer dominated states. A change that alters routes on purpose
+// regenerates these numbers and records old and new values.
 
 namespace youtiao {
 namespace {
@@ -571,20 +691,20 @@ INSTANTIATE_TEST_SUITE_P(
     Table2, RoutingExactnessGolden,
     ::testing::Values(
         FamilyGolden{TopologyFamily::Square,
-                     {83.700000000000031, 29, 1211761,
-                      0x6b438b2caca85c27ull, 897464}},
+                     {84.42000000000003, 29, 134570,
+                      0xfc1d15905d0f44e7ull, 90101}},
         FamilyGolden{TopologyFamily::Hexagon,
-                     {182.70000000000005, 54, 3223525,
-                      0x1877d2f01584164bull, 2394747}},
+                     {170.03999999999999, 55, 303870,
+                      0x67ff78cf10803841ull, 209480}},
         FamilyGolden{TopologyFamily::HeavySquare,
-                     {212.37, 69, 3471268, 0xbfa79086634ca9f0ull,
-                      2640655}},
+                     {206.64000000000004, 68, 325125,
+                      0x63628f753748624bull, 219271}},
         FamilyGolden{TopologyFamily::HeavyHexagon,
-                     {219.77999999999992, 66, 3823528,
-                      0xb605d8aaa633b27full, 2888278}},
+                     {214.9499999999999, 69, 366338,
+                      0x0d808060df4353e4ull, 240628}},
         FamilyGolden{TopologyFamily::LowDensity,
-                     {173.63999999999999, 46, 2525058,
-                      0x2b0b5863e7bb48a1ull, 1958600}}),
+                     {169.29000000000002, 46, 257193,
+                      0xc188f5886dfffe63ull, 173022}}),
     [](const ::testing::TestParamInfo<FamilyGolden> &param_info) {
         std::string name;
         for (const char c : std::string(topologyFamilyName(
@@ -598,182 +718,124 @@ TEST(RoutingExactnessGoldenTuned, SquareChipAtTileConfig)
 {
     expectRoutingGolden(makeTopology(TopologyFamily::Square),
                         tunedTileRoutingConfig(),
-                        {91.52000000000001, 22, 28583,
-                         0x5621313c7bb6ca7cull, 10813});
+                        {76.079999999999998, 20, 25008,
+                         0xb17565fc5fbb266dull, 19085});
 }
 
 } // namespace
 } // namespace youtiao
 
-// -- push filter: differential test against the unfiltered search ---------
+// -- route to the tree: differential test against plain Dijkstra --------
 //
-// referenceRouteAstar is routeAstar as it was before pushes of dominated
-// direction states were filtered: the search loop is verbatim, only its
-// metrics, trace, watchdog and cancellation lines are left out, and it
-// reports the states it expanded. The filtered search must reproduce it
-// exactly on random grids -- paths, claimed cells and the number of
-// expanded states -- at the consistent default weight (where the filter
-// runs) and at the tile router's weight 2.0 (where it must stay off).
+// referenceTreeRoute is a plain Dijkstra over the same search states as
+// routeAstar -- (cell, incoming direction), straight only across foreign
+// metal -- and the same step costs: new metal 1, or 1.25 beside an
+// obstacle, an airbridge 25. Every tree cell is a source at cost 0 and
+// is never entered again. On random grids routeAstar (heuristic, push
+// filter, dominated skips) must agree with it on reachability and on the
+// optimal cost (sums of 1, 1.25 and 25 are exact in doubles), return a
+// valid path and close no more states than it.
 
 namespace youtiao {
 namespace {
 
-constexpr int kRefDirCount = static_cast<int>(SearchArena::kStatesPerCell);
-constexpr long kRefMoves[kRefDirCount][2] = {
-    {1, 0}, {-1, 0}, {0, 1}, {0, -1}};
+constexpr long kRefMoves[4][2] = {{1, 0}, {-1, 0}, {0, 1}, {0, -1}};
 
-double
-referenceHeuristic(const Cell &a, const Cell &b, double weight)
+struct TreeReference
 {
-    const double dx = a.x > b.x ? static_cast<double>(a.x - b.x)
-                                : static_cast<double>(b.x - a.x);
-    const double dy = a.y > b.y ? static_cast<double>(a.y - b.y)
-                                : static_cast<double>(b.y - a.y);
-    return weight * (dx + dy);
+    bool reachable = false;
+    double cost = 0.0;
+    /** States closed, the target's included. */
+    std::size_t closed = 0;
+};
+
+/** Step cost of entering cell (@p x, @p y) of @p grid for net @p net. */
+double
+referenceStep(const RoutingGrid &grid, std::size_t x, std::size_t y,
+              std::int32_t net, const AstarConfig &config)
+{
+    const std::int32_t owner = grid.owner(Cell{x, y});
+    if (owner != RoutingGrid::kFree && owner != net)
+        return config.bridgeCost;
+    for (const auto &mv : kRefMoves) {
+        const long ax = static_cast<long>(x) + mv[0];
+        const long ay = static_cast<long>(y) + mv[1];
+        if (ax < 0 || ay < 0 || ax >= static_cast<long>(grid.width()) ||
+            ay >= static_cast<long>(grid.height()))
+            continue;
+        if (grid.owner(Cell{static_cast<std::size_t>(ax),
+                            static_cast<std::size_t>(ay)}) ==
+            RoutingGrid::kObstacle)
+            return 1.0 + config.crowdingPenalty;
+    }
+    return 1.0;
 }
 
-std::optional<RoutedPath>
-referenceRouteAstar(RoutingGrid &grid, Cell from, Cell to,
-                    std::int32_t net_id, const AstarConfig &config,
-                    std::size_t &expansions)
+TreeReference
+referenceTreeRoute(const RoutingGrid &grid, const std::vector<Cell> &tree,
+                   Cell to, std::int32_t net, const AstarConfig &config)
 {
-    expansions = 0;
-    constexpr int kDirCount = kRefDirCount;
-    const auto &kMoves = kRefMoves;
-    const auto heuristic = referenceHeuristic;
-    SearchArena arena;
     const std::size_t w = grid.width();
-    const std::size_t h = grid.height();
-    auto flat = [w](const Cell &c) { return c.y * w + c.x; };
-
-    auto mine_or_free = [&](const Cell &c) {
-        const std::int32_t o = grid.owner(c);
-        return o == RoutingGrid::kFree || o == net_id;
-    };
-    if (!mine_or_free(from) || !mine_or_free(to))
-        return std::nullopt;
-
-    const std::size_t state_count = w * h * kDirCount;
-    arena.begin(state_count);
-    constexpr std::uint32_t no_parent = SearchArena::kNoParent;
-
-    using Entry = std::pair<double, std::uint32_t>;
+    const std::size_t cells = w * grid.height();
+    std::vector<bool> in_tree(cells, false);
+    std::vector<double> dist(4 * cells,
+                             std::numeric_limits<double>::infinity());
+    std::vector<bool> done(4 * cells, false);
+    using Entry = std::pair<double, std::size_t>;
     std::priority_queue<Entry, std::vector<Entry>, std::greater<>> open;
-    for (int d = 0; d < kDirCount; ++d) {
-        const std::size_t s = flat(from) * kDirCount +
-                              static_cast<std::size_t>(d);
-        arena.relax(s, 0.0, no_parent);
-        open.emplace(heuristic(from, to, config.heuristicWeight),
-                     static_cast<std::uint32_t>(s));
+    for (const Cell &c : tree) {
+        const std::size_t idx = c.y * w + c.x;
+        in_tree[idx] = true;
+        dist[4 * idx] = 0.0;
+        open.emplace(0.0, 4 * idx);
     }
-
-    std::uint32_t goal_state = no_parent;
-    std::size_t expanded = 0;
-    std::size_t dominated = 0;
-    const std::size_t to_idx = flat(to);
-    const auto wl = static_cast<long>(w);
-    const auto hl = static_cast<long>(h);
+    TreeReference out;
     while (!open.empty()) {
-        const auto [f, state] = open.top();
+        const auto [d, state] = open.top();
         open.pop();
-        (void)f;
-        if (arena.closed(state))
+        if (done[state])
             continue;
-        arena.close(state);
-        ++expanded;
-        const std::size_t idx = state / kDirCount;
-        const int dir_in = static_cast<int>(state % kDirCount);
-        if (idx == to_idx) {
-            goal_state = state;
-            break;
+        done[state] = true;
+        ++out.closed;
+        const std::size_t idx = state / 4;
+        const std::size_t dir = state % 4;
+        if (idx == to.y * w + to.x) {
+            out.reachable = true;
+            out.cost = d;
+            return out;
         }
-        const double g_here = arena.g(state);
-        const std::int32_t here_owner = grid.ownerAt(idx);
-        const bool on_bridge =
-            here_owner != RoutingGrid::kFree && here_owner != net_id;
-        if (!on_bridge && arena.closedSiblingNoWorse(state, g_here)) {
-            ++dominated;
-            continue;
-        }
-        const long hx = static_cast<long>(idx % w);
-        const long hy = static_cast<long>(idx / w);
-        for (int d = 0; d < kDirCount; ++d) {
-            if (on_bridge && d != dir_in)
-                continue; // bridges run straight
-            const long nx = hx + kMoves[d][0];
-            const long ny = hy + kMoves[d][1];
-            if (nx < 0 || ny < 0 || nx >= wl || ny >= hl)
+        const std::int32_t here = grid.owner(Cell{idx % w, idx / w});
+        const bool bridge = here != RoutingGrid::kFree && here != net;
+        for (std::size_t k = 0; k < 4; ++k) {
+            if (bridge && k != dir)
                 continue;
-            const std::size_t nidx = static_cast<std::size_t>(ny * wl + nx);
-            const std::int32_t owner = grid.ownerAt(nidx);
-            if (owner == RoutingGrid::kObstacle)
+            const long nx = static_cast<long>(idx % w) + kRefMoves[k][0];
+            const long ny = static_cast<long>(idx / w) + kRefMoves[k][1];
+            if (nx < 0 || ny < 0 || nx >= static_cast<long>(w) ||
+                ny >= static_cast<long>(grid.height()))
                 continue;
-            double step;
-            if (owner == net_id) {
-                step = 0.02; // trunk reuse is nearly free
-            } else if (owner == RoutingGrid::kFree) {
-                step = 1.0;
-                for (const auto &mv : kMoves) {
-                    const long ax = nx + mv[0];
-                    const long ay = ny + mv[1];
-                    if (ax < 0 || ay < 0 || ax >= wl || ay >= hl)
-                        continue;
-                    if (grid.ownerAt(static_cast<std::size_t>(
-                            ay * wl + ax)) == RoutingGrid::kObstacle) {
-                        step += config.crowdingPenalty;
-                        break;
-                    }
-                }
-            } else {
-                step = config.bridgeCost; // airbridge crossover
-            }
-            const std::size_t nstate =
-                nidx * kDirCount + static_cast<std::size_t>(d);
-            const double cand = g_here + step;
-            if (!arena.closed(nstate) && cand < arena.g(nstate)) {
-                arena.relax(nstate, cand, state);
-                const Cell next{static_cast<std::size_t>(nx),
-                                static_cast<std::size_t>(ny)};
-                open.emplace(cand + heuristic(next, to,
-                                              config.heuristicWeight),
-                             static_cast<std::uint32_t>(nstate));
+            const Cell next{static_cast<std::size_t>(nx),
+                            static_cast<std::size_t>(ny)};
+            const std::size_t nidx = next.y * w + next.x;
+            if (in_tree[nidx] ||
+                grid.owner(next) == RoutingGrid::kObstacle)
+                continue;
+            const double cand =
+                d + referenceStep(grid, next.x, next.y, net, config);
+            if (cand < dist[4 * nidx + k]) {
+                dist[4 * nidx + k] = cand;
+                open.emplace(cand, 4 * nidx + k);
             }
         }
     }
-    expansions = expanded - dominated;
-    if (goal_state == no_parent)
-        return std::nullopt;
-
-    RoutedPath path;
-    std::uint32_t state = goal_state;
-    const std::size_t from_idx = flat(from);
-    while (true) {
-        const std::size_t idx = state / kDirCount;
-        path.cells.push_back(Cell{idx % w, idx / w});
-        if (idx == from_idx && arena.parent(state) == no_parent)
-            break;
-        state = arena.parent(state);
-        requireInternal(state != no_parent, "broken A* parent chain");
-    }
-    std::reverse(path.cells.begin(), path.cells.end());
-    for (const Cell &c : path.cells) {
-        const std::int32_t owner = grid.owner(c);
-        if (owner == net_id)
-            continue;
-        if (owner == RoutingGrid::kFree) {
-            grid.setOwner(c, net_id);
-            ++path.newCells;
-        } else {
-            path.crossovers.push_back(Crossover{c, net_id, owner});
-        }
-    }
-    return path;
+    return out;
 }
 
 /** A random grid of @p prng: obstacles, straight wires of foreign nets
- *  1..3 (crossing them forces bridges) and a trunk of net 0. */
+ *  1..3 (crossing them forces bridges) and a random tree of net 0 (a
+ *  walk with branches) whose cells it returns in @p tree. */
 RoutingGrid
-randomRoutingGrid(Prng &prng)
+randomRoutingGrid(Prng &prng, std::vector<Cell> &tree)
 {
     RoutingGridConfig config;
     config.cellMm = 1.0;
@@ -788,9 +850,9 @@ randomRoutingGrid(Prng &prng)
     const std::size_t cells = grid.width() * grid.height();
     for (std::size_t i = 0; i < cells / 8; ++i)
         grid.setOwner(random_cell(), RoutingGrid::kObstacle);
-    const int wires = prng.uniformInt(1, 6);
+    const int wires = prng.uniformInt(1, 5);
     for (int i = 0; i < wires; ++i) {
-        const auto net = static_cast<std::int32_t>(i % 4); // net 0 = trunk
+        const auto net = static_cast<std::int32_t>(1 + i % 3);
         Cell c = random_cell();
         const bool horizontal = prng.uniform() < 0.5;
         const std::size_t len = prng.uniformInt(std::size_t{12}) + 2;
@@ -802,100 +864,160 @@ randomRoutingGrid(Prng &prng)
             (horizontal ? c.x : c.y) += 1;
         }
     }
+    // The tree: a random walk over free cells from a free start, with a
+    // chance to restart from one of its own cells (a branch).
+    tree.clear();
+    Cell at = random_cell();
+    for (int tries = 0; tries < 64 && grid.owner(at) != RoutingGrid::kFree;
+         ++tries)
+        at = random_cell();
+    if (grid.owner(at) != RoutingGrid::kFree)
+        return grid;
+    grid.setOwner(at, 0);
+    tree.push_back(at);
+    const std::size_t steps = prng.uniformInt(std::size_t{24});
+    for (std::size_t k = 0; k < steps; ++k) {
+        if (prng.uniform() < 0.15)
+            at = tree[prng.uniformInt(tree.size())];
+        const auto &mv = kRefMoves[prng.uniformInt(std::size_t{4})];
+        const long nx = static_cast<long>(at.x) + mv[0];
+        const long ny = static_cast<long>(at.y) + mv[1];
+        if (nx < 0 || ny < 0 || nx >= static_cast<long>(grid.width()) ||
+            ny >= static_cast<long>(grid.height()))
+            continue;
+        const Cell next{static_cast<std::size_t>(nx),
+                        static_cast<std::size_t>(ny)};
+        if (grid.owner(next) != RoutingGrid::kFree)
+            continue;
+        grid.setOwner(next, 0);
+        tree.push_back(next);
+        at = next;
+    }
     return grid;
 }
 
-std::vector<std::int32_t>
-allOwners(const RoutingGrid &grid)
+/** Check @p path of net @p net from @p tree to @p to against the grid
+ *  @p before it was routed and @p after: valid, of cost @p cost, and
+ *  claiming exactly its free cells. */
+void
+expectValidTreePath(const RoutedPath &path, const RoutingGrid &before,
+                    const RoutingGrid &after, const std::vector<Cell> &tree,
+                    Cell to, std::int32_t net, const AstarConfig &config,
+                    double cost)
 {
-    std::vector<std::int32_t> owners;
-    owners.reserve(grid.width() * grid.height());
-    for (std::size_t y = 0; y < grid.height(); ++y)
-        for (std::size_t x = 0; x < grid.width(); ++x)
-            owners.push_back(grid.owner(Cell{x, y}));
-    return owners;
+    ASSERT_FALSE(path.cells.empty());
+    const auto in_tree = [&tree](const Cell &c) {
+        return std::find(tree.begin(), tree.end(), c) != tree.end();
+    };
+    EXPECT_TRUE(in_tree(path.cells.front()));
+    EXPECT_EQ(path.cells.back(), to);
+    double sum = 0.0;
+    std::size_t fresh = 0;
+    std::size_t bridges = 0;
+    for (std::size_t i = 0; i < path.cells.size(); ++i) {
+        const Cell &c = path.cells[i];
+        const std::int32_t owner = before.owner(c);
+        ASSERT_NE(owner, RoutingGrid::kObstacle) << "through an obstacle";
+        fresh += owner == RoutingGrid::kFree ? 1 : 0;
+        if (i == 0)
+            continue;
+        const Cell &p = path.cells[i - 1];
+        const std::size_t dx = p.x > c.x ? p.x - c.x : c.x - p.x;
+        const std::size_t dy = p.y > c.y ? p.y - c.y : c.y - p.y;
+        ASSERT_EQ(dx + dy, 1u) << "not 4-connected at step " << i;
+        EXPECT_FALSE(in_tree(c)) << "re-enters the tree at step " << i;
+        sum += referenceStep(before, c.x, c.y, net, config);
+        if (owner != RoutingGrid::kFree && owner != net) {
+            ++bridges;
+            ASSERT_LT(i + 1, path.cells.size()) << "ends on a bridge";
+            const Cell &n = path.cells[i + 1];
+            EXPECT_EQ(n.x + p.x, 2 * c.x) << "bridge turns at step " << i;
+            EXPECT_EQ(n.y + p.y, 2 * c.y) << "bridge turns at step " << i;
+        }
+    }
+    EXPECT_EQ(sum, cost);
+    EXPECT_EQ(path.newCells, fresh);
+    EXPECT_EQ(path.crossovers.size(), bridges);
+    for (const Crossover &x : path.crossovers) {
+        EXPECT_EQ(x.byNet, net);
+        EXPECT_EQ(x.overNet, before.owner(x.cell));
+    }
+    // The grid changes exactly at the path's free cells.
+    RoutingGrid want = before;
+    for (const Cell &c : path.cells)
+        if (before.owner(c) == RoutingGrid::kFree)
+            want.setOwner(c, net);
+    for (std::size_t y = 0; y < after.height(); ++y)
+        for (std::size_t x = 0; x < after.width(); ++x)
+            ASSERT_EQ(after.owner(Cell{x, y}), want.owner(Cell{x, y}))
+                << "cell (" << x << ", " << y << ")";
 }
 
-/** Route three nets in turn (two terminals of net 0, so the second
- *  reuses the first's trunk, then a new net 4) with both searches on
- *  two copies of each of @p grids random grids; every result and the
- *  final owner grid must match. Adds the routes found to @p routed. */
-void
-expectFilteredMatchesReference(double weight, std::size_t grids,
-                               std::size_t &routed)
+TEST(AstarPushFilter, MatchesDijkstraToTreeReference)
 {
-    AstarConfig config;
-    config.heuristicWeight = weight;
+    const std::uint64_t skipped = counterSoFar("astar.pushes_skipped");
+    const std::uint64_t dominated = counterSoFar("astar.dominated_skips");
+    const AstarConfig config;
     Prng prng(0xF117E2);
-    for (std::size_t g = 0; g < grids; ++g) {
-        RoutingGrid filtered = randomRoutingGrid(prng);
-        RoutingGrid reference = filtered;
+    std::size_t routed = 0;
+    std::size_t unreachable = 0;
+    for (std::size_t g = 0; g < 240; ++g) {
+        std::vector<Cell> tree;
+        RoutingGrid grid = randomRoutingGrid(prng, tree);
+        if (tree.empty())
+            continue;
         SearchArena arena;
-        // A terminal on a free or own cell, if a few draws find one.
-        const auto terminal = [&](std::int32_t net) {
-            Cell c;
-            for (int tries = 0; tries < 16; ++tries) {
-                c = Cell{prng.uniformInt(filtered.width()),
-                         prng.uniformInt(filtered.height())};
-                const std::int32_t owner = filtered.owner(c);
-                if (owner == RoutingGrid::kFree || owner == net)
-                    break;
+        // Three connections of net 0, each from the tree the previous
+        // ones grew, then the first connection of a new net 4.
+        for (const std::int32_t net : {0, 0, 0, 4}) {
+            Cell to{};
+            bool found = false;
+            for (int tries = 0; tries < 16 && !found; ++tries) {
+                to = Cell{prng.uniformInt(grid.width()),
+                          prng.uniformInt(grid.height())};
+                found = grid.owner(to) == RoutingGrid::kFree;
             }
-            return c;
-        };
-        for (const std::int32_t net : {0, 0, 4}) {
-            const Cell from = terminal(net);
-            const Cell to = terminal(net);
+            if (!found)
+                continue;
+            std::vector<Cell> net_tree = tree;
+            if (net == 4) {
+                net_tree = {to};
+                to = Cell{prng.uniformInt(grid.width()),
+                          prng.uniformInt(grid.height())};
+                if (grid.owner(to) != RoutingGrid::kFree ||
+                    to == net_tree.front())
+                    continue;
+            }
+            const RoutingGrid before = grid;
+            const TreeReference want =
+                referenceTreeRoute(before, net_tree, to, net, config);
             const std::uint64_t closed =
                 counterSoFar("astar.cells_expanded");
-            const std::uint64_t skips = counterSoFar("astar.dominated_skips");
-            const auto got =
-                routeAstar(filtered, from, to, net, arena, config);
-            const std::uint64_t got_expansions =
-                (counterSoFar("astar.cells_expanded") - closed) -
-                (counterSoFar("astar.dominated_skips") - skips);
-            std::size_t want_expansions = 0;
-            const auto want = referenceRouteAstar(reference, from, to, net,
-                                                  config, want_expansions);
-            ASSERT_EQ(got.has_value(), want.has_value())
+            const auto got = routeAstar(grid, net_tree, to, net, arena);
+            const std::uint64_t got_closed =
+                counterSoFar("astar.cells_expanded") - closed;
+            ASSERT_EQ(got.has_value(), want.reachable)
                 << "grid " << g << " net " << net;
-            EXPECT_EQ(got_expansions, want_expansions)
+            EXPECT_LE(got_closed, want.closed)
                 << "grid " << g << " net " << net;
-            if (!got)
+            if (!got) {
+                ++unreachable;
                 continue;
-            ++routed;
-            EXPECT_EQ(got->cells, want->cells) << "grid " << g;
-            EXPECT_EQ(got->newCells, want->newCells) << "grid " << g;
-            ASSERT_EQ(got->crossovers.size(), want->crossovers.size())
-                << "grid " << g;
-            for (std::size_t k = 0; k < got->crossovers.size(); ++k) {
-                EXPECT_EQ(got->crossovers[k].cell,
-                          want->crossovers[k].cell);
-                EXPECT_EQ(got->crossovers[k].overNet,
-                          want->crossovers[k].overNet);
             }
+            ++routed;
+            expectValidTreePath(*got, before, grid, net_tree, to, net,
+                                config, want.cost);
+            if (net == 0)
+                for (const Cell &c : got->cells)
+                    if (before.owner(c) == RoutingGrid::kFree)
+                        tree.push_back(c);
         }
-        ASSERT_EQ(allOwners(filtered), allOwners(reference))
-            << "grid " << g;
     }
-}
-
-TEST(AstarPushFilter, MatchesUnfilteredSearchAtConsistentWeight)
-{
-    const std::uint64_t skipped = counterSoFar("astar.pushes_skipped");
-    std::size_t routed = 0;
-    expectFilteredMatchesReference(0.01, 240, routed);
-    EXPECT_GT(routed, 240u);
+    EXPECT_GT(routed, 480u);
+    EXPECT_GT(unreachable, 0u);
+    // The heuristic's push filter and the pop-time skip both ran.
     EXPECT_GT(counterSoFar("astar.pushes_skipped") - skipped, 0u);
-}
-
-TEST(AstarPushFilter, StaysOffAtTileRouterWeight)
-{
-    const std::uint64_t skipped = counterSoFar("astar.pushes_skipped");
-    std::size_t routed = 0;
-    expectFilteredMatchesReference(2.0, 240, routed);
-    EXPECT_GT(routed, 240u);
-    EXPECT_EQ(counterSoFar("astar.pushes_skipped") - skipped, 0u);
+    EXPECT_GT(counterSoFar("astar.dominated_skips") - dominated, 0u);
 }
 
 } // namespace
